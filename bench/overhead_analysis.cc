@@ -47,8 +47,8 @@ int main() {
   // --- (1) Real wall-clock overhead of SSA log generation. ---
   {
     auto run = [&](bool with_ssa) {
+      WorldState state = genesis;  // Copied before the clock starts: not execution.
       Clock::time_point start = Clock::now();
-      WorldState state = genesis;
       uint64_t log_bytes = 0;
       uint64_t entries = 0;
       uint64_t instructions = 0;

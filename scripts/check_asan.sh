@@ -7,7 +7,9 @@
 # the retention contract exists to prevent), the bounded queue's
 # close/abort-with-items-in-flight paths, the KV store's segment buffers and
 # compaction, the trie's node recycling, and the chain runner's
-# shutdown/abort teardown.
+# shutdown/abort teardown. The substrate suites run here too: UBSan checks the
+# unrolled Keccak's rotations and the limb shifts of U256 division, ASan the
+# bounds of the RLP writers the trie encodes nodes with.
 #
 # Selection goes through ctest so gtest_discover_tests stays the single
 # source of truth. An empty selection is a HARD FAILURE — the gate must not
@@ -16,7 +18,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=${BUILD_DIR:-build-asan}
-ASAN_REGEX=${ASAN_REGEX:-'^(BoundedQueueTest|SnapshotRegistryTest|QueryEngineTest|QueryInertnessTest|ChainRunnerTest|ChainShutdownTest|KvStoreTest|KvConcurrencyTest|KvCompactionTest|ShardedMpt|IncrementalStateTrieTest|WorldStateTest|StateViewTest|CodeCacheTest|HttpServerTest|FlightRecorderTest|WatchdogTest|OpsPlaneTest)'}
+# Parameterized suites carry their instantiation prefix ("Seeds/MptPropertyTest...").
+ASAN_REGEX=${ASAN_REGEX:-'^(Seeds/)?(BoundedQueueTest|SnapshotRegistryTest|QueryEngineTest|QueryInertnessTest|ChainRunnerTest|ChainShutdownTest|KvStoreTest|KvConcurrencyTest|KvCompactionTest|ShardedMpt|IncrementalStateTrieTest|WorldStateTest|StateViewTest|CodeCacheTest|HttpServerTest|FlightRecorderTest|WatchdogTest|OpsPlaneTest|KeccakTest|U256Test|U256PropertyTest|RlpTest|MptTest|MptPropertyTest|MptDeleteTest|MptApplyDiffPropertyTest|MptHarvestTest)'}
 
 # Intentional process-lifetime singletons (the telemetry registry, memoized
 # test fixtures) are leaked by design; leak checking would only report those.
@@ -25,7 +28,7 @@ export ASAN_OPTIONS=${ASAN_OPTIONS:-detect_leaks=0}
 cmake -B "$BUILD_DIR" -S . -DPEVM_SANITIZE=address,undefined -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target bounded_queue_test query_test chain_test kv_test trie_test state_test \
-           codecache_test ops_test
+           codecache_test ops_test support_test
 
 cd "$BUILD_DIR"
 selected=$(ctest -N -R "$ASAN_REGEX" | sed -n 's/^Total Tests: //p')

@@ -1,7 +1,6 @@
 #include "src/state/world_state.h"
 
 #include <cassert>
-#include <vector>
 
 #include "src/support/rlp.h"
 #include "src/trie/mpt.h"
@@ -130,12 +129,19 @@ void WorldState::Apply(const WriteSet& writes) {
 
 Bytes RlpAccountBody(uint64_t nonce, const U256& balance, const Hash256& storage_root,
                      const Hash256& code_hash) {
-  std::vector<Bytes> body;
-  body.push_back(RlpEncodeUint(U256(nonce)));
-  body.push_back(RlpEncodeUint(balance));
-  body.push_back(RlpEncodeBytes(BytesView(storage_root.data(), storage_root.size())));
-  body.push_back(RlpEncodeBytes(BytesView(code_hash.data(), code_hash.size())));
-  return RlpEncodeList(body);
+  const U256 nonce_word(nonce);
+  const BytesView root(storage_root.data(), storage_root.size());
+  const BytesView code(code_hash.data(), code_hash.size());
+  const size_t payload =
+      RlpUintSize(nonce_word) + RlpUintSize(balance) + RlpBytesSize(root) + RlpBytesSize(code);
+  Bytes body;
+  body.reserve(RlpHeaderSize(payload) + payload);
+  RlpAppendListHeader(body, payload);
+  RlpAppendUint(body, nonce_word);
+  RlpAppendUint(body, balance);
+  RlpAppendBytes(body, root);
+  RlpAppendBytes(body, code);
+  return body;
 }
 
 Hash256 WorldState::StateRoot() const {

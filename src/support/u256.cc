@@ -1,6 +1,7 @@
 #include "src/support/u256.h"
 
 #include <algorithm>
+#include <bit>
 #include <span>
 
 namespace pevm {
@@ -13,53 +14,129 @@ struct DivModResult {
 
 bool GetBit(const U256& v, unsigned i) { return (v.limb(i / 64) >> (i % 64)) & 1; }
 
-// Classic restoring long division, one bit at a time. At most 256 iterations;
-// DIV/MOD are rare enough in EVM traces that this is not a bottleneck.
+using u128 = unsigned __int128;
+
+// Number of limbs up to the highest non-zero one (0 for zero).
+size_t LiveLimbs(const uint64_t* x, size_t n) {
+  while (n > 0 && x[n - 1] == 0) {
+    --n;
+  }
+  return n;
+}
+
+// Knuth's algorithm D (TAOCP vol. 2, §4.3.1) on 64-bit limbs, little-endian:
+// divides the m-limb `u` by the n-limb `v` (1 <= n <= 4, n <= m <= 8,
+// v[n-1] != 0), writing m - n + 1 quotient limbs to `q` and n remainder limbs
+// to `r`.
+void KnuthDivide(const uint64_t* u, size_t m, const uint64_t* v, size_t n, uint64_t* q,
+                 uint64_t* r) {
+  if (n == 1) {
+    // One-limb divisor: schoolbook division by a single digit.
+    u128 rem = 0;
+    for (size_t i = m; i-- > 0;) {
+      const u128 cur = (rem << 64) | u[i];
+      q[i] = static_cast<uint64_t>(cur / v[0]);
+      rem = cur % v[0];
+    }
+    r[0] = static_cast<uint64_t>(rem);
+    return;
+  }
+  // D1: normalize so the divisor's top limb has its high bit set; the
+  // dividend gains one limb.
+  const int s = std::countl_zero(v[n - 1]);
+  uint64_t vn[4];
+  uint64_t un[9];
+  for (size_t i = n - 1; i > 0; --i) {
+    vn[i] = s == 0 ? v[i] : (v[i] << s) | (v[i - 1] >> (64 - s));
+  }
+  vn[0] = v[0] << s;
+  un[m] = s == 0 ? 0 : u[m - 1] >> (64 - s);
+  for (size_t i = m - 1; i > 0; --i) {
+    un[i] = s == 0 ? u[i] : (u[i] << s) | (u[i - 1] >> (64 - s));
+  }
+  un[0] = u[0] << s;
+
+  for (size_t j = m - n + 1; j-- > 0;) {
+    // D3: estimate the quotient limb from the top two dividend limbs and the
+    // top divisor limb, then correct it with the second divisor limb; the
+    // estimate is then at most one too large.
+    const u128 top = (static_cast<u128>(un[j + n]) << 64) | un[j + n - 1];
+    u128 qhat = top / vn[n - 1];
+    u128 rhat = top % vn[n - 1];
+    while (qhat >> 64 != 0 || qhat * vn[n - 2] > ((rhat << 64) | un[j + n - 2])) {
+      --qhat;
+      rhat += vn[n - 1];
+      if (rhat >> 64 != 0) {
+        break;
+      }
+    }
+    // D4: multiply and subtract qhat * vn from un[j .. j+n].
+    const uint64_t qd = static_cast<uint64_t>(qhat);
+    uint64_t carry = 0;
+    uint64_t borrow = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const u128 p = static_cast<u128>(qd) * vn[i] + carry;
+      carry = static_cast<uint64_t>(p >> 64);
+      const uint64_t lo = static_cast<uint64_t>(p);
+      const uint64_t t = un[i + j] - lo;
+      const uint64_t next_borrow = (un[i + j] < lo) | (t < borrow);
+      un[i + j] = t - borrow;
+      borrow = next_borrow;
+    }
+    const uint64_t t = un[j + n] - carry;
+    const bool negative = (un[j + n] < carry) | (t < borrow);
+    un[j + n] = t - borrow;
+    q[j] = qd;
+    if (negative) {
+      // D6: the estimate was one too large; add the divisor back.
+      --q[j];
+      uint64_t c = 0;
+      for (size_t i = 0; i < n; ++i) {
+        const u128 sum = static_cast<u128>(un[i + j]) + vn[i] + c;
+        un[i + j] = static_cast<uint64_t>(sum);
+        c = static_cast<uint64_t>(sum >> 64);
+      }
+      un[j + n] += c;
+    }
+  }
+  // D8: the remainder is un[0 .. n], shifted back.
+  for (size_t i = 0; i < n; ++i) {
+    r[i] = s == 0 ? un[i] : (un[i] >> s) | (un[i + 1] << (64 - s));
+  }
+}
+
+U256 FromLimbs(const uint64_t* x) { return U256(x[3], x[2], x[1], x[0]); }
+
+// Divides the little-endian limbs `limbs` (up to 512 bits) by n != 0: returns
+// the remainder and, when `quotient` is set, stores the quotient's low 256
+// bits there.
+U256 DivideLimbs(std::span<const uint64_t> limbs, const U256& n, U256* quotient) {
+  const uint64_t v[4] = {n.limb(0), n.limb(1), n.limb(2), n.limb(3)};
+  const size_t vlen = LiveLimbs(v, 4);
+  const size_t ulen = LiveLimbs(limbs.data(), limbs.size());
+  if (ulen < vlen) {
+    // Fewer live limbs than the divisor: the dividend is the remainder.
+    uint64_t r[4] = {};
+    std::copy(limbs.begin(), limbs.begin() + static_cast<long>(ulen), r);
+    return FromLimbs(r);
+  }
+  uint64_t q[8] = {};
+  uint64_t r[4] = {};
+  KnuthDivide(limbs.data(), ulen, v, vlen, q, r);
+  if (quotient != nullptr) {
+    *quotient = FromLimbs(q);
+  }
+  return FromLimbs(r);
+}
+
 DivModResult DivMod(const U256& a, const U256& b) {
   DivModResult out;
   if (b.IsZero()) {
     return out;  // EVM: x / 0 == 0, x % 0 == 0.
   }
-  if (a < b) {
-    out.remainder = a;
-    return out;
-  }
-  unsigned bits = a.BitLength();
-  U256 rem;
-  U256 quo;
-  for (int i = static_cast<int>(bits) - 1; i >= 0; --i) {
-    rem = U256::Shl(1, rem);
-    if (GetBit(a, static_cast<unsigned>(i))) {
-      rem = rem | U256(1);
-    }
-    if (rem >= b) {
-      rem = rem - b;
-      quo = quo | U256::Shl(static_cast<uint64_t>(i), U256(1));
-    }
-  }
-  out.quotient = quo;
-  out.remainder = rem;
+  const uint64_t u[4] = {a.limb(0), a.limb(1), a.limb(2), a.limb(3)};
+  out.remainder = DivideLimbs(u, b, &out.quotient);
   return out;
-}
-
-// Reduces a little-endian limb array (up to 512 bits) modulo n.
-U256 ModLimbs(std::span<const uint64_t> limbs, const U256& n) {
-  if (n.IsZero()) {
-    return U256{};
-  }
-  U256 rem;
-  for (size_t li = limbs.size(); li-- > 0;) {
-    for (int bi = 63; bi >= 0; --bi) {
-      rem = U256::Shl(1, rem);
-      if ((limbs[li] >> bi) & 1) {
-        rem = rem | U256(1);
-      }
-      if (rem >= n) {
-        rem = rem - n;
-      }
-    }
-  }
-  return rem;
 }
 
 }  // namespace
@@ -126,7 +203,7 @@ U256 U256::MulMod(const U256& a, const U256& b, const U256& n) {
     }
     prod[i + 4] = static_cast<uint64_t>(carry);
   }
-  return ModLimbs(prod, n);
+  return DivideLimbs(prod, n, nullptr);
 }
 
 U256 U256::Exp(const U256& base, const U256& exponent) {

@@ -57,15 +57,25 @@ Registry& GlobalRegistry() {
   return *registry;
 }
 
+// The calling thread's ring, created by its first recorded event, and the
+// name SetThreadName recorded for it. Plain thread-local storage: naming a
+// thread, or running one that never records, allocates nothing. The registry
+// owns every ring, so the raw pointer never dangles.
+thread_local ThreadBuffer* t_buffer = nullptr;
+thread_local char t_name[64] = "";
+
 ThreadBuffer& LocalBuffer() {
-  thread_local std::shared_ptr<ThreadBuffer> buffer = [] {
+  if (t_buffer == nullptr) {
     Registry& registry = GlobalRegistry();
     std::lock_guard<std::mutex> lock(registry.mu);
     auto b = std::make_shared<ThreadBuffer>(registry.ring_capacity, registry.next_tid++);
+    if (t_name[0] != '\0') {
+      b->name = t_name;
+    }
     registry.buffers.push_back(b);
-    return b;
-  }();
-  return *buffer;
+    t_buffer = b.get();
+  }
+  return *t_buffer;
 }
 
 void Push(EventKind kind, const char* name, uint64_t begin_ns, uint64_t end_ns,
@@ -120,9 +130,11 @@ void Reset() {
 }
 
 void SetThreadName(const char* name) {
-  ThreadBuffer& buffer = LocalBuffer();
-  std::lock_guard<std::mutex> lock(buffer.name_mu);
-  buffer.name = name;
+  std::snprintf(t_name, sizeof(t_name), "%s", name);
+  if (t_buffer != nullptr) {
+    std::lock_guard<std::mutex> lock(t_buffer->name_mu);
+    t_buffer->name = t_name;
+  }
 }
 
 size_t SetRingCapacity(size_t events) {

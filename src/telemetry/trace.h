@@ -55,12 +55,15 @@ void Reset();
 
 // Names the calling thread in the exported trace ("chain-exec", "kv-compact",
 // ...). Idempotent; last call wins. Safe before or after the thread's first
-// event.
+// event. Records the name (up to 63 characters) in thread-local storage and
+// allocates nothing: a thread's ring is created by its first recorded event,
+// which only happens while recording is enabled, and takes the name then.
 void SetThreadName(const char* name);
 
-// Ring capacity (events per thread) for buffers registered *after* the call;
-// rounded up to a power of two, minimum 8. Existing buffers keep their size.
-// Default 32768 events (~1.5 MB per thread). Returns the applied capacity.
+// Ring capacity (events per thread) for buffers registered *after* the call
+// (a thread registers on its first recorded event); rounded up to a power of
+// two, minimum 8. Existing buffers keep their size. Default 32768 events
+// (~1.5 MB per thread). Returns the applied capacity.
 size_t SetRingCapacity(size_t events);
 
 // --- Recording. -----------------------------------------------------------

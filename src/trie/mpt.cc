@@ -1,8 +1,8 @@
 #include "src/trie/mpt.h"
 
 #include <array>
+#include <algorithm>
 #include <cassert>
-#include <vector>
 
 #include "src/support/rlp.h"
 
@@ -20,22 +20,66 @@ Bytes ToNibbles(BytesView key) {
   return out;
 }
 
-// Hex-prefix encoding (yellow paper appendix C).
-Bytes HexPrefix(BytesView nibbles, bool is_leaf) {
-  Bytes out;
-  uint8_t flag = is_leaf ? 2 : 0;
-  bool odd = nibbles.size() % 2 != 0;
+// Hex-prefix encoding (yellow paper appendix C) of a nibble path, written as
+// an RLP byte string: its encoded size, and the writer.
+size_t HexPrefixRlpSize(size_t nibbles) {
+  const size_t len = nibbles / 2 + 1;
+  return len == 1 ? 1 : RlpHeaderSize(len) + len;
+}
+
+void AppendHexPrefixRlp(Bytes& out, BytesView nibbles, bool is_leaf) {
+  const size_t len = nibbles.size() / 2 + 1;
+  if (len > 1) {
+    RlpAppendStringHeader(out, len);  // A lone flag byte (< 0x80) encodes as itself.
+  }
+  const uint8_t flag = is_leaf ? 2 : 0;
   size_t i = 0;
-  if (odd) {
+  if (nibbles.size() % 2 != 0) {
     out.push_back(static_cast<uint8_t>(((flag | 1) << 4) | nibbles[0]));
     i = 1;
   } else {
     out.push_back(static_cast<uint8_t>(flag << 4));
   }
-  for (; i + 1 < nibbles.size() + 1 && i < nibbles.size(); i += 2) {
+  for (; i < nibbles.size(); i += 2) {
     out.push_back(static_cast<uint8_t>((nibbles[i] << 4) | nibbles[i + 1]));
   }
-  return out;
+}
+
+// Writes a leaf or extension node, [hex-prefix(path), second], into `out`:
+// `second` is a leaf's value (encoded here as a byte string) or an
+// extension's child reference (already RLP). `out` is sized once up front.
+void WriteShortNode(Bytes& out, BytesView path, bool is_leaf, BytesView second) {
+  const size_t payload =
+      HexPrefixRlpSize(path.size()) + (is_leaf ? RlpBytesSize(second) : second.size());
+  out.clear();
+  out.reserve(RlpHeaderSize(payload) + payload);
+  RlpAppendListHeader(out, payload);
+  AppendHexPrefixRlp(out, path, is_leaf);
+  if (is_leaf) {
+    RlpAppendBytes(out, second);
+  } else {
+    out.insert(out.end(), second.begin(), second.end());
+  }
+}
+
+// Writes a branch node, [ref_0 .. ref_15, value], into `out`: a null ref is
+// an absent child (the empty string).
+void WriteBranchNode(Bytes& out, const std::array<const Bytes*, 16>& refs, BytesView value) {
+  size_t payload = RlpBytesSize(value);
+  for (const Bytes* ref : refs) {
+    payload += ref != nullptr ? ref->size() : 1;
+  }
+  out.clear();
+  out.reserve(RlpHeaderSize(payload) + payload);
+  RlpAppendListHeader(out, payload);
+  for (const Bytes* ref : refs) {
+    if (ref != nullptr) {
+      out.insert(out.end(), ref->begin(), ref->end());
+    } else {
+      out.push_back(0x80);
+    }
+  }
+  RlpAppendBytes(out, value);
 }
 
 size_t CommonPrefix(BytesView a, BytesView b) {
@@ -61,9 +105,11 @@ struct MerklePatriciaTrie::Node {
   std::unique_ptr<Node> child;                     // Extension child.
 
   // Incremental-root memo: the node's RLP encoding and its parent-visible
-  // reference, recomputed lazily after a mutation dirtied this node. Cleared
-  // (never updated in place) by the mutation path, so a stale memo can never
-  // be observed.
+  // reference, recomputed lazily after a mutation dirtied this node. The
+  // mutation path clears them (size only: the buffers keep their capacity)
+  // and marks them invalid, so a stale memo can never be observed; Encode and
+  // Ref then rewrite them in place, so re-encoding a retained node allocates
+  // nothing.
   mutable Bytes enc_memo;
   mutable Bytes ref_memo;
   mutable bool enc_valid = false;
@@ -83,6 +129,7 @@ using Type = Node::Type;
 
 // Marks a node whose subtree (or own path/value) changed: both memos are
 // stale. Fresh nodes start invalid, so only retained nodes need this.
+// clear() keeps the memo buffers' capacity for the next Encode / Ref.
 void Dirty(Node* node) {
   node->enc_valid = false;
   node->ref_valid = false;
@@ -303,41 +350,50 @@ const Bytes& Ref(const Node* node) {
     return node->ref_memo;
   }
   const Bytes& enc = Encode(node);
+  node->ref_memo.clear();
   if (enc.size() < 32) {
-    node->ref_memo = enc;
+    node->ref_memo.insert(node->ref_memo.end(), enc.begin(), enc.end());
   } else {
     Hash256 h = Keccak256(enc);
-    node->ref_memo = RlpEncodeBytes(BytesView(h.data(), h.size()));
+    RlpAppendBytes(node->ref_memo, BytesView(h.data(), h.size()));  // 0xa0 || hash.
   }
   node->ref_valid = true;
   return node->ref_memo;
+}
+
+// keccak(encoding), the key a node is stored under; for a hash-referenced
+// node it is read back from the reference memo instead of re-hashed.
+Hash256 NodeHash(const Node* node) {
+  const Bytes& enc = Encode(node);
+  if (enc.size() < 32) {
+    return Keccak256(enc);
+  }
+  const Bytes& ref = Ref(node);
+  Hash256 h;
+  std::copy(ref.begin() + 1, ref.end(), h.begin());
+  return h;
 }
 
 const Bytes& Encode(const Node* node) {
   if (node->enc_valid) {
     return node->enc_memo;
   }
-  std::vector<Bytes> items;
   switch (node->type) {
-    case Type::kLeaf: {
-      items.push_back(RlpEncodeBytes(HexPrefix(node->path, /*is_leaf=*/true)));
-      items.push_back(RlpEncodeBytes(node->value));
+    case Type::kLeaf:
+      WriteShortNode(node->enc_memo, node->path, /*is_leaf=*/true, node->value);
       break;
-    }
-    case Type::kExtension: {
-      items.push_back(RlpEncodeBytes(HexPrefix(node->path, /*is_leaf=*/false)));
-      items.push_back(Ref(node->child.get()));
+    case Type::kExtension:
+      WriteShortNode(node->enc_memo, node->path, /*is_leaf=*/false, Ref(node->child.get()));
       break;
-    }
     case Type::kBranch: {
-      for (const auto& child : node->children) {
-        items.push_back(child ? Ref(child.get()) : RlpEncodeBytes({}));
+      std::array<const Bytes*, 16> refs;
+      for (size_t i = 0; i < 16; ++i) {
+        refs[i] = node->children[i] ? &Ref(node->children[i].get()) : nullptr;
       }
-      items.push_back(RlpEncodeBytes(node->value));
+      WriteBranchNode(node->enc_memo, refs, node->value);
       break;
     }
   }
-  node->enc_memo = RlpEncodeList(items);
   node->enc_valid = true;
   return node->enc_memo;
 }
@@ -368,7 +424,7 @@ size_t Harvest(const Node* node, bool is_root, const MerklePatriciaTrie::NodeSin
   // never stored standalone; the root is always stored under its hash.
   if (enc.size() >= 32 || is_root) {
     if (sink != nullptr) {
-      (*sink)(Keccak256(enc), BytesView(enc.data(), enc.size()));
+      (*sink)(NodeHash(node), BytesView(enc.data(), enc.size()));
     }
     ++emitted;
   }
@@ -471,7 +527,7 @@ Hash256 MerklePatriciaTrie::RootHash() const {
   if (root_ == nullptr) {
     return Keccak256(RlpEncodeBytes({}));  // 0x56e81f17... — the canonical empty root.
   }
-  return Keccak256(Encode(root_.get()));
+  return NodeHash(root_.get());
 }
 
 // --- ShardedMpt -------------------------------------------------------------
@@ -589,14 +645,13 @@ Bytes ShardedMpt::JoinEncoding() const {
   int lone = -1;
   const int live = LiveCount(&lone);
   assert(live > 0);
-  std::vector<Bytes> items;
+  Bytes out;
   if (live == 1) {
     const Node* shard_root = roots_[lone].get();
     if (shard_root->type == Type::kBranch) {
       // extension({lone}) -> shard branch.
-      items.push_back(RlpEncodeBytes(HexPrefix(Bytes{static_cast<uint8_t>(lone)},
-                                               /*is_leaf=*/false)));
-      items.push_back(Ref(shard_root));
+      const uint8_t nibble = static_cast<uint8_t>(lone);
+      WriteShortNode(out, BytesView(&nibble, 1), /*is_leaf=*/false, Ref(shard_root));
     } else {
       // The shard root itself with the nibble prepended to its path.
       Bytes path;
@@ -604,17 +659,18 @@ Bytes ShardedMpt::JoinEncoding() const {
       path.push_back(static_cast<uint8_t>(lone));
       path.insert(path.end(), shard_root->path.begin(), shard_root->path.end());
       const bool is_leaf = shard_root->type == Type::kLeaf;
-      items.push_back(RlpEncodeBytes(HexPrefix(path, is_leaf)));
-      items.push_back(is_leaf ? RlpEncodeBytes(shard_root->value)
-                              : Ref(shard_root->child.get()));
+      WriteShortNode(out, path, is_leaf,
+                     is_leaf ? BytesView(shard_root->value)
+                             : BytesView(Ref(shard_root->child.get())));
     }
   } else {
+    std::array<const Bytes*, kShards> refs;
     for (int i = 0; i < kShards; ++i) {
-      items.push_back(roots_[i] ? Ref(roots_[i].get()) : RlpEncodeBytes({}));
+      refs[i] = roots_[i] ? &Ref(roots_[i].get()) : nullptr;
     }
-    items.push_back(RlpEncodeBytes({}));  // No value: every key has >= 2 nibbles.
+    WriteBranchNode(out, refs, {});  // No value: every key has >= 2 nibbles.
   }
-  return RlpEncodeList(items);
+  return out;
 }
 
 Hash256 ShardedMpt::RootHash() const {

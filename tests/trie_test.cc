@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <random>
@@ -132,6 +133,68 @@ TEST_P(MptPropertyTest, RandomKeyValueAgreement) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MptPropertyTest, ::testing::Values(11, 22, 33, 44));
+
+// --- Roots pinned across implementations ---
+//
+// The property suites compare the trie with itself, so an encoding that was
+// wrong but self-consistent would pass them. These roots were computed by the
+// node encoder that preceded the append-style RLP writers (one separately
+// encoded item per list element, then joined), over a seeded stream that
+// reaches every encoding shape: 1-4 byte keys over a six-byte alphabet (so
+// keys that prefix other keys leave values in branch nodes), values of 1-120
+// bytes (short leaves inline into their parent under 32 bytes; values and
+// nodes past 55 bytes take long-form RLP headers), and every third operation
+// deleting an earlier key (collapsing branches and merging paths). The root
+// is checked after every 300 operations.
+
+std::vector<TrieUpdate> PinnedStream() {
+  static constexpr uint8_t kAlphabet[] = {0x00, 0x01, 0x10, 0x1f, 0xa5, 0xff};
+  std::mt19937_64 rng(20250317);
+  std::vector<Bytes> inserted;
+  std::vector<TrieUpdate> stream;
+  for (int i = 0; i < 1200; ++i) {
+    TrieUpdate update;
+    if (i % 3 == 2) {
+      update.key = inserted[rng() % inserted.size()];  // Empty value: delete.
+    } else {
+      update.key.resize(1 + rng() % 4);
+      for (uint8_t& b : update.key) {
+        b = kAlphabet[rng() % std::size(kAlphabet)];
+      }
+      update.value.resize(1 + rng() % 120);
+      for (uint8_t& b : update.value) {
+        b = static_cast<uint8_t>(rng());
+      }
+      inserted.push_back(update.key);
+    }
+    stream.push_back(std::move(update));
+  }
+  return stream;
+}
+
+constexpr const char* kPinnedStreamRoots[] = {
+    "22add1b682282408ea87b2b24a1c203bbb96a53bc5edb29c8b0c1aff29284087",
+    "16de8104d2f7cd9a453b7b1030a468c4e14040d65189deff21f2993a15cca2d7",
+    "2a67d843010efabf400b8e061e9fde667934f4e6e2e06027c75b42487d8a655b",
+    "fb33b4b79c773d8c9135fffc21e986dfa731be7e2463b086fe8cbfa65e12ca1c",
+};
+
+template <typename Trie>
+void ExpectPinnedStreamRoots() {
+  const std::vector<TrieUpdate> stream = PinnedStream();
+  Trie trie;
+  for (size_t i = 0; i < stream.size(); ++i) {
+    trie.ApplyDiff(std::span<const TrieUpdate>(&stream[i], 1));
+    if ((i + 1) % 300 == 0) {
+      EXPECT_EQ(HexEncode(trie.RootHash()), kPinnedStreamRoots[i / 300]) << "after " << i + 1;
+    }
+  }
+  EXPECT_EQ(trie.size(), 248u);
+}
+
+TEST(MptTest, RootsMatchValuesPinnedAcrossImplementations) {
+  ExpectPinnedStreamRoots<MerklePatriciaTrie>();
+}
 
 // --- Dirty-node harvest (the durability hook behind src/chain/node_store.h).
 
@@ -454,6 +517,10 @@ TEST(ShardedMptTest, MatchesMonolithicOnKnownVectors) {
   }
   EXPECT_EQ(sharded.size(), mono.size());
   EXPECT_EQ(HarvestSorted(sharded), HarvestSorted(mono));
+}
+
+TEST(ShardedMptTest, RootsMatchValuesPinnedAcrossImplementations) {
+  ExpectPinnedStreamRoots<ShardedMpt>();
 }
 
 // The satellite battery: 200 rounds of mixed Put/Delete/ApplyDiff churn with

@@ -41,6 +41,17 @@ TEST(WorkloadTest, GenerationIsDeterministic) {
   EXPECT_EQ(a.MakeGenesis().Digest(), b.MakeGenesis().Digest());
 }
 
+TEST(WorkloadTest, GenesisStateRootIsPinned) {
+  // Computed before the Keccak, RLP and trie-encoding rewrites; the serial
+  // StateRoot oracle every test and bench compares against must not move.
+  WorkloadConfig config;
+  config.users = 300;
+  config.seed = 1;
+  const Hash256 root = WorkloadGenerator(config).MakeGenesis().StateRoot();
+  EXPECT_EQ(HexEncode(BytesView(root.data(), root.size())),
+            "4f1ce76a41eb576b4990907b2eb731274110f30182568e39ac59e4b810d4c4b1");
+}
+
 TEST(WorkloadTest, DifferentSeedsDiffer) {
   WorkloadConfig c1 = SmallConfig();
   WorkloadConfig c2 = SmallConfig();
