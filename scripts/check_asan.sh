@@ -6,8 +6,10 @@
 # handles and deferred pruning (use-after-release is exactly the bug class
 # the retention contract exists to prevent), the bounded queue's
 # close/abort-with-items-in-flight paths, the KV store's segment buffers and
-# compaction, the trie's node recycling, and the chain runner's
-# shutdown/abort teardown. The substrate suites run here too: UBSan checks the
+# compaction, the trie's node recycling, the code cache's shared analyses
+# and the interpreter's PUSH decoding under the code-cache differential
+# suites, the HTTP parser under seeded malformed input, and the chain
+# runner's shutdown/abort teardown. The substrate suites run here too: UBSan checks the
 # unrolled Keccak's rotations and the limb shifts of U256 division, ASan the
 # bounds of the RLP writers the trie encodes nodes with.
 #
@@ -19,7 +21,7 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR=${BUILD_DIR:-build-asan}
 # Parameterized suites carry their instantiation prefix ("Seeds/MptPropertyTest...").
-ASAN_REGEX=${ASAN_REGEX:-'^(Seeds/)?(BoundedQueueTest|SnapshotRegistryTest|QueryEngineTest|QueryInertnessTest|ChainRunnerTest|ChainShutdownTest|KvStoreTest|KvConcurrencyTest|KvCompactionTest|ShardedMpt|IncrementalStateTrieTest|WorldStateTest|StateViewTest|CodeCacheTest|HttpServerTest|FlightRecorderTest|WatchdogTest|OpsPlaneTest|KeccakTest|U256Test|U256PropertyTest|RlpTest|MptTest|MptPropertyTest|MptDeleteTest|MptApplyDiffPropertyTest|MptHarvestTest)'}
+ASAN_REGEX=${ASAN_REGEX:-'^(Seeds/)?(BoundedQueueTest|SnapshotRegistryTest|QueryEngineTest|QueryInertnessTest|ChainRunnerTest|ChainShutdownTest|KvStoreTest|KvConcurrencyTest|KvCompactionTest|ShardedMpt|IncrementalStateTrieTest|WorldStateTest|StateViewTest|CodeCacheTest|CodeCacheDifferentialTest|HttpServerTest|FlightRecorderTest|WatchdogTest|OpsPlaneTest|KeccakTest|U256Test|U256PropertyTest|RlpTest|MptTest|MptPropertyTest|MptDeleteTest|MptApplyDiffPropertyTest|MptHarvestTest)'}
 
 # Intentional process-lifetime singletons (the telemetry registry, memoized
 # test fixtures) are leaked by design; leak checking would only report those.

@@ -4,8 +4,8 @@
 # (ShardedMpt per-shard apply/harvest + batched IncrementalStateTrie commits),
 # the KV store's writer / reader / background-compaction concurrency, the
 # telemetry recorder's lock-free rings (concurrent writers + live export) and
-# the shared code cache (sharded shared-lock lookups, once-per-hash analysis,
-# tier-1 promotion racing 16 reader threads) and the ops plane (HTTP scrape
+# the shared code cache (sharded shared-lock lookups, once-per-hash analysis
+# racing 16 reader threads) and the ops plane (HTTP scrape
 # threads reading pipeline counters and the flight-recorder ring while the
 # pipeline commits; the watchdog sampling concurrently):
 # builds the tree with

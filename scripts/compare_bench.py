@@ -25,9 +25,8 @@ import sys
 
 # (file, extractor) pairs; extractors yield (metric_name, value) tuples of
 # higher-is-better numbers. Wall-clock metrics (blocks/s, qps) are noisy on
-# shared runners — that is what the wide default threshold absorbs; the
-# deterministic ratios (hit rate, oplog reduction) barely move run to run.
-BENCH_FILES = ["BENCH_chain.json", "BENCH_query.json", "BENCH_codecache.json"]
+# shared runners — that is what the wide default threshold absorbs.
+BENCH_FILES = ["BENCH_chain.json", "BENCH_query.json"]
 
 
 def extract_chain(doc):
@@ -48,20 +47,9 @@ def extract_query(doc):
         yield f"query chain-blocks/s serve_threads={threads}", float(run["blocks_per_sec"])
 
 
-def extract_codecache(doc):
-    yield "codecache hit_rate", float(doc["hit_rate"])
-    yield "codecache oplog_reduction", float(doc["oplog_reduction"])
-    # Throughput proxy: interpreted instructions per wall-nanosecond of the
-    # fused steady-state read phase.
-    wall = float(doc.get("read_wall_ns_fused", 0))
-    if wall > 0:
-        yield "codecache instructions/us fused", 1000.0 * float(doc["instructions"]) / wall
-
-
 EXTRACTORS = {
     "BENCH_chain.json": extract_chain,
     "BENCH_query.json": extract_query,
-    "BENCH_codecache.json": extract_codecache,
 }
 
 

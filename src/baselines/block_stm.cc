@@ -191,8 +191,7 @@ BlockReport BlockStmExecutor::Execute(const Block& block, WorldState& state) {
     txs[static_cast<size_t>(fl.task.txn)].abort_penalty = 0;
     MvReader reader(mv, state, store, fl.task.txn);
     StateView view(reader);
-    fl.receipt = ApplyTransaction(view, block.context, tx, nullptr,
-                                  StaticCodeProvider(options_.code_cache));
+    fl.receipt = ApplyTransaction(view, block.context, tx, nullptr, &SharedCodeCache());
     fl.exec_aborted = reader.aborted();
     fl.blocking_txn = reader.blocking_txn();
     fl.reads = reader.TakeReads();
@@ -441,7 +440,7 @@ BlockReport BlockStmExecutor::Execute(const Block& block, WorldState& state) {
     if (!consistent) {
       ++report.full_reexecutions;
       t += FullReexecute(block, static_cast<size_t>(j), state, cache, cost, store, fees,
-                         report, StaticCodeProvider(options_.code_cache));
+                         report, &SharedCodeCache());
       continue;
     }
     t += CommitResult(std::move(tx_state.receipt), std::move(tx_state.writes), state, cost,

@@ -46,8 +46,7 @@ BlockReport OccExecutor::Execute(const Block& block, WorldState& state, Boundary
     PEVM_TRACE_INSTANT_ARG("exec.conflict", "tx", i);
     RecordConflicts(conflicts, ConflictOutcome::kFallback, attribution);
     ++report.full_reexecutions;
-    t += FullReexecute(block, i, state, cache, cost, store, fees, report,
-                       StaticCodeProvider(options_.code_cache));
+    t += FullReexecute(block, i, state, cache, cost, store, fees, report, &SharedCodeCache());
   }
   report.conflict_keys = attribution.Sorted();
 

@@ -56,8 +56,7 @@ BlockReport SerialExecutor::Execute(const Block& block, WorldState& state) {
     } else {
       view.emplace(state);
     }
-    Receipt receipt = ApplyTransaction(*view, block.context, tx, nullptr,
-                                       StaticCodeProvider(options_.code_cache));
+    Receipt receipt = ApplyTransaction(*view, block.context, tx, nullptr, &SharedCodeCache());
     uint64_t cold = cache.Touch(view->read_set());
     uint64_t warm = TotalReadOps(receipt.stats) - std::min(TotalReadOps(receipt.stats), cold);
     t += cost.ExecutionCost(receipt.stats, cold, warm, /*with_ssa=*/false);

@@ -68,7 +68,7 @@ BlockReport TwoPhaseLockingExecutor::Execute(const Block& block, WorldState& sta
   for (int i = 0; i < n; ++i) {
     StateView view(state);
     Receipt receipt = ApplyTransaction(view, block.context, block.transactions[static_cast<size_t>(i)],
-                                       nullptr, StaticCodeProvider(options_.code_cache));
+                                       nullptr, &SharedCodeCache());
     TxSim& sim = sims[static_cast<size_t>(i)];
     std::unordered_set<StateKey, StateKeyHash> seen;
     for (const StateKey& key : view.read_order()) {

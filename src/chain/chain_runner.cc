@@ -345,7 +345,7 @@ void ChainRunner::SpecLoop() {
         PEVM_TRACE_SPAN_ARG("chain.speculate", "tx", i);
         item.spec->specs[i] = SpeculateTransaction(reader, item.block.context,
                                                    item.block.transactions[i], with_log,
-                                                   StaticCodeProvider(options_.exec.code_cache));
+                                                   &SharedCodeCache());
       };
       item.spec = std::move(spec);
       spec_pool_->ParallelFor(n, speculate_one);

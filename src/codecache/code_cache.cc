@@ -2,7 +2,7 @@
 
 #include <chrono>
 
-#include "src/codecache/analysis.h"
+#include "src/evm/opcode.h"
 #include "src/telemetry/metrics.h"
 
 namespace pevm {
@@ -33,7 +33,10 @@ std::shared_ptr<const CodeAnalysis> CodeCache::Analyze(const Bytes& code, const 
   bool built = false;
   std::call_once(entry->analyze_once, [&] {
     auto start = std::chrono::steady_clock::now();
-    entry->analysis = AnalyzeCode(code, h, config_.fuse);
+    auto analysis = std::make_shared<CodeAnalysis>();
+    analysis->hash = h;
+    analysis->jumpdests = JumpdestBitmap(code);
+    entry->analysis = std::move(analysis);
     auto elapsed = std::chrono::steady_clock::now() - start;
     built = true;
     misses_.fetch_add(1, std::memory_order_relaxed);
@@ -48,20 +51,6 @@ std::shared_ptr<const CodeAnalysis> CodeCache::Analyze(const Bytes& code, const 
     static auto& hit_counter = telemetry::GetCounter("codecache.hit");
     hit_counter.Add();
   }
-
-  uint64_t n = entry->invocations.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (config_.promote_threshold > 0 &&
-      n >= static_cast<uint64_t>(config_.promote_threshold) &&
-      entry->analysis->program.load(std::memory_order_acquire) == nullptr) {
-    std::call_once(entry->promote_once, [&] {
-      CodeAnalysis& analysis = *entry->analysis;
-      analysis.program_storage = BuildDecodedProgram(code, analysis);
-      analysis.program.store(analysis.program_storage.get(), std::memory_order_release);
-      promotions_.fetch_add(1, std::memory_order_relaxed);
-      static auto& promote_counter = telemetry::GetCounter("codecache.promotions");
-      promote_counter.Add();
-    });
-  }
   return entry->analysis;
 }
 
@@ -69,7 +58,6 @@ CodeCache::Stats CodeCache::GetStats() const {
   Stats stats;
   stats.hits = hits_.load(std::memory_order_relaxed);
   stats.misses = misses_.load(std::memory_order_relaxed);
-  stats.promotions = promotions_.load(std::memory_order_relaxed);
   for (const Shard& shard : shards_) {
     std::shared_lock lock(shard.mutex);
     stats.entries += shard.map.size();
@@ -77,50 +65,9 @@ CodeCache::Stats CodeCache::GetStats() const {
   return stats;
 }
 
-std::shared_ptr<const CodeAnalysis> UncachedCodeProvider::Analyze(const Bytes& code,
-                                                                  const Hash256* hash) {
-  Hash256 h = hash != nullptr ? *hash : Keccak256(BytesView(code.data(), code.size()));
-  return AnalyzeCode(code, h, fuse_);
-}
-
-CodeCache& SharedCodeCache(bool fuse) {
-  static CodeCache fused{CodeCacheConfig{CodeCacheMode::kShared, /*promote_threshold=*/8,
-                                         /*fuse=*/true}};
-  static CodeCache plain{CodeCacheConfig{CodeCacheMode::kShared, /*promote_threshold=*/8,
-                                         /*fuse=*/false}};
-  return fuse ? fused : plain;
-}
-
-namespace {
-
-UncachedCodeProvider& StaticUncachedProvider(bool fuse) {
-  static UncachedCodeProvider fused{/*fuse=*/true};
-  static UncachedCodeProvider plain{/*fuse=*/false};
-  return fuse ? fused : plain;
-}
-
-}  // namespace
-
-CodeProvider* StaticCodeProvider(const CodeCacheConfig& config) {
-  switch (config.mode) {
-    case CodeCacheMode::kShared:
-      return &SharedCodeCache(config.fuse);
-    case CodeCacheMode::kPerBlock:
-    case CodeCacheMode::kUncached:
-      return &StaticUncachedProvider(config.fuse);
-    case CodeCacheMode::kOff:
-      return nullptr;
-  }
-  return nullptr;
-}
-
-CodeProvider* ResolveCodeProvider(const CodeCacheConfig& config,
-                                  std::unique_ptr<CodeCache>& slot) {
-  if (config.mode == CodeCacheMode::kPerBlock) {
-    slot = std::make_unique<CodeCache>(config);
-    return slot.get();
-  }
-  return StaticCodeProvider(config);
+CodeCache& SharedCodeCache() {
+  static CodeCache cache;
+  return cache;
 }
 
 }  // namespace pevm

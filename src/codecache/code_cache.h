@@ -1,10 +1,10 @@
 // The process-wide per-code-hash cache: sharded read-mostly map from code
-// hash to tier-0 analysis, with tier-1 promotion past an invocation
-// threshold. Lookups take a shared lock on one of 16 shards (read-mostly fast
-// path); the analysis itself runs exactly once per code hash under a
-// per-entry once_flag, outside the map lock, so concurrent first-callers
-// neither duplicate work nor serialize unrelated hashes. Entries are never
-// evicted: the contract set of a chain is small and analyses are a few KB.
+// hash to its analysis (program.h). Lookups take a shared lock on one of 16
+// shards (read-mostly fast path); the analysis itself runs exactly once per
+// code hash under a per-entry once_flag, outside the map lock, so concurrent
+// first-callers neither duplicate work nor serialize unrelated hashes.
+// Entries are never evicted: the contract set of a chain is small and a
+// bitmap is one bit per code byte.
 #ifndef SRC_CODECACHE_CODE_CACHE_H_
 #define SRC_CODECACHE_CODE_CACHE_H_
 
@@ -24,26 +24,19 @@ namespace pevm {
 class CodeCache : public CodeProvider {
  public:
   struct Stats {
-    uint64_t hits = 0;        // Lookups that found a built analysis.
-    uint64_t misses = 0;      // Analyses actually run.
-    uint64_t promotions = 0;  // Tier-1 decoded programs built.
-    uint64_t entries = 0;     // Distinct code hashes resident.
+    uint64_t hits = 0;     // Lookups that found a built analysis.
+    uint64_t misses = 0;   // Analyses actually run.
+    uint64_t entries = 0;  // Distinct code hashes resident.
   };
 
-  explicit CodeCache(CodeCacheConfig config = {}) : config_(config) {}
-
   std::shared_ptr<const CodeAnalysis> Analyze(const Bytes& code, const Hash256* hash) override;
-  bool fused() const override { return config_.fuse; }
 
   Stats GetStats() const;
-  const CodeCacheConfig& config() const { return config_; }
 
  private:
   struct Entry {
     std::once_flag analyze_once;
-    std::shared_ptr<CodeAnalysis> analysis;  // Set under analyze_once.
-    std::atomic<uint64_t> invocations{0};
-    std::once_flag promote_once;
+    std::shared_ptr<const CodeAnalysis> analysis;  // Set under analyze_once.
   };
 
   // First 8 bytes of a keccak output are as good a hash as any.
@@ -62,42 +55,25 @@ class CodeCache : public CodeProvider {
 
   static constexpr size_t kShards = 16;
 
-  CodeCacheConfig config_;
   Shard shards_[kShards];
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> promotions_{0};
 };
 
-// Memoization-free provider: runs the analysis on every call. The ablation
-// baseline proving the cache is inert — same pure function, zero reuse.
-class UncachedCodeProvider : public CodeProvider {
- public:
-  explicit UncachedCodeProvider(bool fuse) : fuse_(fuse) {}
-  std::shared_ptr<const CodeAnalysis> Analyze(const Bytes& code, const Hash256* hash) override;
-  bool fused() const override { return fuse_; }
+// The process-wide shared cache every executor, the chain runner and the
+// query tier use. Persists across blocks, executors and chain runs.
+CodeCache& SharedCodeCache();
 
- private:
-  bool fuse_;
+// Compatibility names for chainbench/, which may not change before the
+// benchmark's next revision. None of them carries a setting: the cache is
+// always the shared one. Delete them then (ROADMAP).
+struct CodeCacheConfig {
+  static constexpr bool fuse = false;
 };
-
-// The process-wide shared cache (one per fuse setting; default promotion
-// threshold). Persists across blocks, executors and chain runs.
-CodeCache& SharedCodeCache(bool fuse);
-
-// Provider for call sites that need static lifetime (chain spec stage,
-// FullReexecute fallbacks, baselines): kShared -> the shared cache,
-// kPerBlock/kUncached -> a static uncached provider with the same fuse (so
-// log granularity always matches the block's read phase), kOff -> nullptr.
-CodeProvider* StaticCodeProvider(const CodeCacheConfig& config);
-
-// Provider for a read phase. kPerBlock constructs a fresh cache into `slot`
-// (honoring config.promote_threshold); the other modes behave like
-// StaticCodeProvider and leave `slot` empty. Per-block caches may be
-// destroyed before the block's oplog: log entries keep their expressions
-// alive via shared_ptr (see program.h).
-CodeProvider* ResolveCodeProvider(const CodeCacheConfig& config,
-                                  std::unique_ptr<CodeCache>& slot);
+inline CodeCache& SharedCodeCache(bool /*fuse*/) { return SharedCodeCache(); }
+inline CodeProvider* StaticCodeProvider(const CodeCacheConfig& /*config*/) {
+  return &SharedCodeCache();
+}
 
 }  // namespace pevm
 

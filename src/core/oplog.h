@@ -8,11 +8,9 @@
 #ifndef SRC_CORE_OPLOG_H_
 #define SRC_CORE_OPLOG_H_
 
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
-#include "src/codecache/program.h"
 #include "src/evm/opcode.h"
 #include "src/state/state_key.h"
 #include "src/support/bytes.h"
@@ -47,16 +45,6 @@ struct OpLogEntry {
   //   kNonceBump:      [nonce_before]
   //   kAssertEq:       [expected]
   //   kAssertGe:       [lhs, rhs]  (checks lhs >= rhs)
-  //   kSuperOp:        the expression's referenced inputs, in `super`'s local
-  //                    input order (operands[i] feeds `kInput i` steps)
-  // Superinstruction-granularity extensions (DESIGN.md §4.6):
-  //   when `super` is set on kSstore/kMstore/kMstore8/kAssertEq/kAssertGe,
-  //   the entry's value (stored word / guarded side) is the embedded
-  //   expression evaluated over the inputs that FOLLOW the op's fixed operand
-  //   prefix above — e.g. kSstore: [slot, value, in0, in1, ...];
-  //   when `guarded` is set on kDebit, operands may carry a third value, the
-  //   minimum balance the redo must re-check ([balance_before, amount, min];
-  //   min defaults to amount).
   std::vector<U256> operands;
   // Defining operations of the stack operands (parallel to `operands`).
   std::vector<Lsn> def_stack;
@@ -84,19 +72,6 @@ struct OpLogEntry {
   // For SSTORE gas recomputation: the in-transaction write this store
   // overwrote (kNullLsn -> it overwrote the committed value).
   Lsn prior_def = kNullLsn;
-
-  // For kSuperOp: the fused-segment output expression this entry re-executes
-  // (result = EvalSuperExpr(*super, operands)). Shared with the CodeAnalysis
-  // that produced it — and kept alive here even after a per-block code cache
-  // drops that analysis. Also set on consuming entries (kSstore, kMstore/8,
-  // kAssertEq/Ge) that absorbed a deferred expression; see `operands` above.
-  std::shared_ptr<const SuperExpr> super;
-
-  // Superinstruction-merged precondition (kNonceBump: the resolved nonce must
-  // still equal operands[0]; kDebit: the resolved balance must cover the
-  // minimum). The redo re-checks it before recomputing the write, replacing
-  // the separate kAssertEq/kAssertGe entry the per-op log emits.
-  bool guarded = false;
 
   // Bytes this entry contributes to memory/returndata, for MemDep patching.
   Bytes ResultBytes() const {

@@ -46,9 +46,6 @@ std::string FormatOpLogEntry(const TxLog& log, const OpLogEntry& entry) {
   if (entry.dyn_gas >= 0) {
     out << " {gas=" << entry.dyn_gas << "}";
   }
-  if (entry.super != nullptr) {
-    out << " {expr: " << entry.super->steps.size() << " steps}";
-  }
   return out.str();
 }
 

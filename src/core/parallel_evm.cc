@@ -67,8 +67,7 @@ BlockReport ParallelEvmExecutor::Execute(const Block& block, WorldState& state,
       t += ChargeFailedRedo(redo, conflicts.size(), cost, report);
     }
     ++report.full_reexecutions;
-    t += FullReexecute(block, i, state, cache, cost, store, fees, report,
-                       StaticCodeProvider(options_.code_cache));
+    t += FullReexecute(block, i, state, cache, cost, store, fees, report, &SharedCodeCache());
   }
   report.conflict_keys = attribution.Sorted();
 

@@ -17,16 +17,6 @@ U256 Resolve(const TxLog& log, Lsn def, const U256& fallback) {
   return def == kNullLsn ? fallback : log.entries[static_cast<size_t>(def)].result;
 }
 
-// Re-evaluates an entry's embedded expression (superinstruction logging) over
-// the inputs trailing the op's fixed operand prefix.
-U256 EvalEmbedded(const TxLog& log, const OpLogEntry& entry, size_t fixed) {
-  std::vector<U256> inputs(entry.operands.size() - fixed);
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    inputs[i] = Resolve(log, entry.def_stack[fixed + i], entry.operands[fixed + i]);
-  }
-  return EvalSuperExpr(*entry.super, inputs);
-}
-
 // Patches `entry.input_bytes` from its memory dependencies' (possibly
 // updated) results.
 void PatchInputBytes(TxLog& log, OpLogEntry& entry) {
@@ -46,17 +36,11 @@ void PatchInputBytes(TxLog& log, OpLogEntry& entry) {
 bool Reexecute(TxLog& log, OpLogEntry& entry,
                const std::function<U256(const StateKey&)>& committed) {
   switch (entry.op) {
-    case Opcode::kAssertEq: {
-      U256 v = entry.super ? EvalEmbedded(log, entry, 1)
-                           : Resolve(log, entry.def_stack[0], entry.operands[0]);
-      return v == entry.operands[0];
-    }
-    case Opcode::kAssertGe: {
-      U256 lhs = entry.super ? EvalEmbedded(log, entry, 2)
-                             : Resolve(log, entry.def_stack[0], entry.operands[0]);
-      U256 rhs = Resolve(log, entry.def_stack[1], entry.operands[1]);
-      return lhs >= rhs;
-    }
+    case Opcode::kAssertEq:
+      return Resolve(log, entry.def_stack[0], entry.operands[0]) == entry.operands[0];
+    case Opcode::kAssertGe:
+      return Resolve(log, entry.def_stack[0], entry.operands[0]) >=
+             Resolve(log, entry.def_stack[1], entry.operands[1]);
     case Opcode::kCommittedRead:
       return true;  // Sources are patched by the caller, never re-executed.
     case Opcode::kSload:
@@ -64,8 +48,7 @@ bool Reexecute(TxLog& log, OpLogEntry& entry,
       entry.result = Resolve(log, entry.def_storage, entry.result);
       return true;
     case Opcode::kSstore: {
-      entry.result = entry.super ? EvalEmbedded(log, entry, 2)
-                                 : Resolve(log, entry.def_stack[1], entry.operands[1]);
+      entry.result = Resolve(log, entry.def_stack[1], entry.operands[1]);
       // Gas-flow constraint: the dynamic cost must be unchanged (§5.2.4).
       U256 prior = entry.prior_def == kNullLsn
                        ? committed(entry.key)
@@ -76,8 +59,7 @@ bool Reexecute(TxLog& log, OpLogEntry& entry,
     }
     case Opcode::kMstore:
     case Opcode::kMstore8:
-      entry.result = entry.super ? EvalEmbedded(log, entry, 2)
-                                 : Resolve(log, entry.def_stack[1], entry.operands[1]);
+      entry.result = Resolve(log, entry.def_stack[1], entry.operands[1]);
       return true;
     case Opcode::kMload:
     case Opcode::kCalldataload:
@@ -91,14 +73,6 @@ bool Reexecute(TxLog& log, OpLogEntry& entry,
     case Opcode::kDebit: {
       U256 balance = Resolve(log, entry.def_stack[0], entry.operands[0]);
       U256 amount = Resolve(log, entry.def_stack[1], entry.operands[1]);
-      if (entry.guarded) {
-        // Merged kAssertGe: the balance must still cover the minimum
-        // (operands[2] for the envelope's upfront check, else the amount).
-        const U256& minimum = entry.operands.size() > 2 ? entry.operands[2] : amount;
-        if (balance < minimum) {
-          return false;
-        }
-      }
       entry.result = balance - amount;
       return true;
     }
@@ -108,25 +82,9 @@ bool Reexecute(TxLog& log, OpLogEntry& entry,
       entry.result = balance + amount;
       return true;
     }
-    case Opcode::kNonceBump: {
-      U256 observed = Resolve(log, entry.def_stack[0], entry.operands[0]);
-      if (entry.guarded && observed != entry.operands[0]) {
-        return false;  // Merged kAssertEq: the nonce moved under us.
-      }
-      entry.result = observed + U256(1);
+    case Opcode::kNonceBump:
+      entry.result = Resolve(log, entry.def_stack[0], entry.operands[0]) + U256(1);
       return true;
-    }
-    case Opcode::kSuperOp: {
-      // Fused-segment output: re-evaluate the postfix expression program over
-      // the (possibly updated) referenced inputs. No gas constraint — fused
-      // segments contain only constant-gas ops by construction.
-      std::vector<U256> inputs(entry.operands.size());
-      for (size_t i = 0; i < inputs.size(); ++i) {
-        inputs[i] = Resolve(log, entry.def_stack[i], entry.operands[i]);
-      }
-      entry.result = EvalSuperExpr(*entry.super, inputs);
-      return true;
-    }
     default: {
       if (!IsPureOp(entry.op)) {
         return false;  // Unknown entry kind: give up safely.

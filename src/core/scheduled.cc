@@ -75,8 +75,7 @@ ProposalResult ProposeBlock(const Block& block, WorldState& state, const ExecOpt
       t += ChargeFailedRedo(redo, conflicts.size(), cost, report);
     }
     ++report.full_reexecutions;
-    t += FullReexecute(block, i, state, cache, cost, store, fees, report,
-                       StaticCodeProvider(options.code_cache));
+    t += FullReexecute(block, i, state, cache, cost, store, fees, report, &SharedCodeCache());
   }
   report.conflict_keys = attribution.Sorted();
   CreditCoinbase(state, block.context.coinbase, fees);
@@ -138,8 +137,7 @@ BlockReport ExecuteWithSchedule(const Block& block, const BlockSchedule& schedul
         // that never materialized has no keys to blame.
         RecordConflicts(conflicts, ConflictOutcome::kFallback, attribution);
         ++report.full_reexecutions;
-        t += FullReexecute(block, i, state, cache, cost, store, fees, report,
-                       StaticCodeProvider(options.code_cache));
+        t += FullReexecute(block, i, state, cache, cost, store, fees, report, &SharedCodeCache());
         continue;
       }
     }
@@ -159,8 +157,7 @@ BlockReport ExecuteWithSchedule(const Block& block, const BlockSchedule& schedul
         if (!redo.success) {
           // Deterministic proposers never hit this; repair serially anyway.
           ++report.full_reexecutions;
-          t += FullReexecute(block, i, state, cache, cost, store, fees, report,
-                       StaticCodeProvider(options.code_cache));
+          t += FullReexecute(block, i, state, cache, cost, store, fees, report, &SharedCodeCache());
           break;
         }
         t += CommitRedo(spec, std::move(redo), conflicts.size(), state, cost, fees, report);
@@ -168,8 +165,7 @@ BlockReport ExecuteWithSchedule(const Block& block, const BlockSchedule& schedul
       }
       case TxSchedule::Plan::kFallback: {
         ++report.full_reexecutions;
-        t += FullReexecute(block, i, state, cache, cost, store, fees, report,
-                       StaticCodeProvider(options.code_cache));
+        t += FullReexecute(block, i, state, cache, cost, store, fees, report, &SharedCodeCache());
         break;
       }
     }

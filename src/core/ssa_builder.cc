@@ -23,7 +23,6 @@ Lsn SsaBuilder::Append(OpLogEntry entry) {
   entry.lsn = lsn;
   log_.dug.emplace_back();
   auto wire = [&](Lsn def) {
-    assert(!IsPending(def) && "pending sentinel escaped into the log");
     if (def != kNullLsn) {
       log_.dug[static_cast<size_t>(def)].push_back(lsn);
     }
@@ -53,127 +52,6 @@ Lsn SsaBuilder::PopDef() {
   return lsn;
 }
 
-// --- Deferred-expression machinery (superinstruction logging, §4.6). ---
-
-Lsn SsaBuilder::NewPending(std::shared_ptr<const SuperExpr> expr, std::vector<U256> values,
-                           std::vector<Lsn> defs, const U256& result) {
-  pendings_.push_back(
-      {std::move(expr), std::move(values), std::move(defs), result, kNullLsn});
-  return PendingLsn(pendings_.size() - 1);
-}
-
-Lsn SsaBuilder::Strict(Lsn d) {
-  if (!IsPending(d)) {
-    return d;
-  }
-  PendingExpr& p = pendings_[PendingIndex(d)];
-  if (p.materialized == kNullLsn) {
-    OpLogEntry e;
-    e.op = Opcode::kSuperOp;
-    e.operands = p.input_values;
-    e.def_stack = p.input_defs;
-    e.super = p.expr;
-    e.result = p.result;
-    p.materialized = Append(std::move(e));
-  }
-  return p.materialized;
-}
-
-void SsaBuilder::WireValue(OpLogEntry& e, size_t def_index, Lsn d) {
-  if (IsPending(d)) {
-    PendingExpr& p = pendings_[PendingIndex(d)];
-    if (p.materialized == kNullLsn) {
-      // First escape, and the consumer can absorb it: one fat entry instead
-      // of a kSuperOp entry plus a thin reference.
-      e.super = p.expr;
-      e.operands.insert(e.operands.end(), p.input_values.begin(), p.input_values.end());
-      e.def_stack.insert(e.def_stack.end(), p.input_defs.begin(), p.input_defs.end());
-      return;
-    }
-  }
-  e.def_stack[def_index] = Strict(d);
-}
-
-bool SsaBuilder::DeferPureOp(Opcode op, std::span<const U256> operands,
-                             const std::vector<Lsn>& defs, const U256& result) {
-  // Caps keep embedded programs small enough for EvalSuperExpr's fixed-size
-  // redo stack to stay cheap and for pathological DUP-heavy dataflow not to
-  // duplicate subtrees without bound.
-  constexpr size_t kMaxSteps = 48;
-  auto expr = std::make_shared<SuperExpr>();
-  std::vector<U256> values;
-  std::vector<Lsn> in_defs;
-  auto add_input = [&](const U256& v, Lsn d) -> int {
-    if (d != kNullLsn) {
-      for (size_t i = 0; i < in_defs.size(); ++i) {
-        if (in_defs[i] == d) {
-          return static_cast<int>(i);
-        }
-      }
-    }
-    if (values.size() >= kMaxSuperInputs) {
-      return -1;
-    }
-    values.push_back(v);
-    in_defs.push_back(d);
-    return static_cast<int>(values.size() - 1);
-  };
-  auto push_input_step = [&](int idx) {
-    SuperStep s;
-    s.kind = SuperStep::Kind::kInput;
-    s.input = static_cast<uint8_t>(idx);
-    expr->steps.push_back(std::move(s));
-  };
-  // Operands are emitted deepest-first so EvalSuperExpr pops them back in
-  // EvalPure's top-first order (see eval.cc).
-  for (size_t i = operands.size(); i-- > 0;) {
-    Lsn d = defs[i];
-    if (d == kNullLsn) {
-      SuperStep s;
-      s.kind = SuperStep::Kind::kConst;
-      s.imm = operands[i];
-      expr->steps.push_back(std::move(s));
-      continue;
-    }
-    if (IsPending(d) && pendings_[PendingIndex(d)].materialized == kNullLsn) {
-      // Compose: inline the operand's deferred expression, remapping its
-      // local inputs into this expression's input list.
-      const PendingExpr& p = pendings_[PendingIndex(d)];
-      if (expr->steps.size() + p.expr->steps.size() > kMaxSteps) {
-        return false;
-      }
-      for (const SuperStep& s : p.expr->steps) {
-        if (s.kind == SuperStep::Kind::kInput) {
-          int idx = add_input(p.input_values[s.input], p.input_defs[s.input]);
-          if (idx < 0) {
-            return false;
-          }
-          push_input_step(idx);
-        } else {
-          expr->steps.push_back(s);
-        }
-      }
-      continue;
-    }
-    int idx = add_input(operands[i], Strict(d));
-    if (idx < 0) {
-      return false;
-    }
-    push_input_step(idx);
-  }
-  if (expr->steps.size() >= kMaxSteps) {
-    return false;
-  }
-  SuperStep op_step;
-  op_step.kind = SuperStep::Kind::kOp;
-  op_step.op = op;
-  op_step.arity = static_cast<uint8_t>(operands.size());
-  expr->steps.push_back(std::move(op_step));
-  expr->input_depths.resize(values.size());  // Local indices; Eval never reads these.
-  PushDef(NewPending(std::move(expr), std::move(values), std::move(in_defs), result));
-  return true;
-}
-
 void SsaBuilder::GuardEq(const U256& value, Lsn def) {
   if (def == kNullLsn) {
     return;
@@ -181,21 +59,18 @@ void SsaBuilder::GuardEq(const U256& value, Lsn def) {
   OpLogEntry e;
   e.op = Opcode::kAssertEq;
   e.operands = {value};
-  e.def_stack = {kNullLsn};
-  WireValue(e, 0, def);
+  e.def_stack = {def};
   Append(std::move(e));
 }
 
 void SsaBuilder::GuardGe(const U256& lhs, Lsn lhs_def, const U256& rhs, Lsn rhs_def) {
-  rhs_def = Strict(rhs_def);
   if (lhs_def == kNullLsn && rhs_def == kNullLsn) {
     return;
   }
   OpLogEntry e;
   e.op = Opcode::kAssertGe;
   e.operands = {lhs, rhs};
-  e.def_stack = {kNullLsn, rhs_def};
-  WireValue(e, 0, lhs_def);
+  e.def_stack = {lhs_def, rhs_def};
   Append(std::move(e));
 }
 
@@ -343,16 +218,6 @@ void SsaBuilder::OnPureOp(Opcode op, std::span<const U256> operands, const U256&
     PushDef(kNullLsn);  // Constant folding: no log entry (§6.4).
     return;
   }
-  // Superinstruction logging: defer the result as an expression tree so the
-  // consuming entry absorbs it. EXP stays eager — its dynamic gas needs its
-  // own constraint entry.
-  if (options_.superinstruction_log && options_.fold_constants && op != Opcode::kExp &&
-      DeferPureOp(op, operands, defs, result)) {
-    return;
-  }
-  for (Lsn& d : defs) {
-    d = Strict(d);
-  }
   OpLogEntry e;
   e.op = op;
   e.operands.assign(operands.begin(), operands.end());
@@ -363,57 +228,6 @@ void SsaBuilder::OnPureOp(Opcode op, std::span<const U256> operands, const U256&
     e.dyn_gas = kExpByteGas * operands[1].ByteLength();
   }
   PushDef(Append(std::move(e)));
-}
-
-void SsaBuilder::OnSuperOp(const SuperSegment& seg, std::span<const U256> inputs,
-                           std::span<const U256> outputs) {
-  // defs[j] is the defining op of the value at segment-entry depth j (0 = top).
-  std::vector<Lsn> defs(seg.pop_depth);
-  for (uint32_t j = 0; j < seg.pop_depth; ++j) {
-    defs[j] = PopDef();
-  }
-  // One definition per distinct non-passthrough output expression — DUP'd
-  // outputs share it, mirroring OnDup's def sharing on the per-op path. In
-  // superinstruction mode the definition is deferred (a pending expression
-  // the consuming entry absorbs); otherwise it is an eager kSuperOp entry.
-  std::unordered_map<const SuperExpr*, Lsn> expr_defs;
-  for (size_t i = 0; i < seg.outputs.size(); ++i) {
-    const std::shared_ptr<const SuperExpr>& expr_ptr = seg.outputs[i];
-    const SuperExpr& expr = *expr_ptr;
-    if (expr.IsPassthrough()) {
-      PushDef(defs[expr.input_depths[0]]);
-      continue;
-    }
-    auto it = expr_defs.find(&expr);
-    if (it != expr_defs.end()) {
-      PushDef(it->second);
-      continue;
-    }
-    std::vector<Lsn> in_defs(expr.input_depths.size());
-    std::vector<U256> in_vals(expr.input_depths.size());
-    bool all_const = true;
-    for (size_t k = 0; k < expr.input_depths.size(); ++k) {
-      in_defs[k] = Strict(defs[expr.input_depths[k]]);
-      in_vals[k] = inputs[expr.input_depths[k]];
-      all_const &= in_defs[k] == kNullLsn;
-    }
-    Lsn lsn = kNullLsn;
-    if (all_const && options_.fold_constants) {
-      // Constant folding: no definition needed.
-    } else if (options_.superinstruction_log && options_.fold_constants) {
-      lsn = NewPending(expr_ptr, std::move(in_vals), std::move(in_defs), outputs[i]);
-    } else {
-      OpLogEntry e;
-      e.op = Opcode::kSuperOp;
-      e.operands = std::move(in_vals);
-      e.def_stack = std::move(in_defs);
-      e.super = expr_ptr;
-      e.result = outputs[i];
-      lsn = Append(std::move(e));
-    }
-    expr_defs.emplace(&expr, lsn);
-    PushDef(lsn);
-  }
 }
 
 void SsaBuilder::OnOpaqueOp(Opcode, std::span<const U256> operands, int pushes) {
@@ -455,8 +269,7 @@ void SsaBuilder::OnSstore(const Address& address, const U256& slot, const U256& 
   OpLogEntry e;
   e.op = Opcode::kSstore;
   e.operands = {slot, value};
-  e.def_stack = {kNullLsn, kNullLsn};
-  WireValue(e, 1, value_def);
+  e.def_stack = {kNullLsn, value_def};
   e.has_key = true;
   e.key = key;
   e.result = value;
@@ -507,8 +320,7 @@ void SsaBuilder::OnMstore(Opcode op, const U256& offset, const U256& value) {
   OpLogEntry e;
   e.op = op;
   e.operands = {offset, value};
-  e.def_stack = {kNullLsn, kNullLsn};
-  WireValue(e, 1, value_def);
+  e.def_stack = {kNullLsn, value_def};
   e.result = value;
   e.result_width = static_cast<uint8_t>(width);
   Lsn lsn = Append(std::move(e));
@@ -575,9 +387,6 @@ void SsaBuilder::OnCall(Opcode op, std::span<const U256> operands, const Message
   for (size_t i = 0; i < operands.size(); ++i) {
     defs[i] = PopDef();
     if (has_value && i == 2) {
-      // The amount's def flows into debit/credit entries and the callee's
-      // CALLVALUE provenance, so a deferred expression must materialize.
-      defs[i] = Strict(defs[i]);
       // The transfer amount flows onward (debit/credit entries, callee
       // CALLVALUE); only its zero-ness is pinned, because it decides the
       // value-transfer gas surcharge and the callee stipend (§5.2.4
@@ -633,13 +442,7 @@ void SsaBuilder::OnValueTransfer(const Address& from, const U256& from_balance_b
   debit.op = Opcode::kDebit;
   debit.operands = {from_balance_before, amount};
   debit.def_stack = {from_def, amount_def};
-  if (options_.superinstruction_log) {
-    // Merged precondition: the redo re-checks balance >= amount on this very
-    // entry instead of a separate kAssertGe.
-    debit.guarded = true;
-  } else {
-    GuardGe(from_balance_before, from_def, amount, amount_def);
-  }
+  GuardGe(from_balance_before, from_def, amount, amount_def);
   debit.has_key = true;
   debit.key = StateKey::Balance(from);
   debit.result = from_balance_before - amount;
@@ -670,13 +473,7 @@ void SsaBuilder::OnTxNonceCheck(const Address& sender, uint64_t observed, uint64
   bump.op = Opcode::kNonceBump;
   bump.operands = {U256(observed)};
   bump.def_stack = {read_def};
-  if (options_.superinstruction_log) {
-    // Merged precondition: the redo re-checks that the resolved nonce still
-    // equals the observed (== expected) one before bumping.
-    bump.guarded = true;
-  } else {
-    GuardEq(U256(expected), read_def);
-  }
+  GuardEq(U256(expected), read_def);
   bump.has_key = true;
   bump.key = key;
   bump.result = U256(observed + 1);
@@ -696,14 +493,7 @@ void SsaBuilder::OnTxDebit(const Address& addr, const U256& balance_before, cons
   debit.op = Opcode::kDebit;
   debit.operands = {balance_before, amount};
   debit.def_stack = {def, kNullLsn};
-  if (options_.superinstruction_log) {
-    // Merged precondition: operands[2] is the minimum the redo re-checks.
-    debit.guarded = true;
-    debit.operands.push_back(minimum);
-    debit.def_stack.push_back(kNullLsn);
-  } else {
-    GuardGe(balance_before, def, minimum, kNullLsn);
-  }
+  GuardGe(balance_before, def, minimum, kNullLsn);
   debit.has_key = true;
   debit.key = key;
   debit.result = balance_before - amount;

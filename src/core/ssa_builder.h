@@ -24,17 +24,6 @@ class SsaBuilder final : public Tracer {
     // constants produce no log entry. Disabling it is the ablation that
     // shows why the log stays at a few percent of the instruction stream.
     bool fold_constants = true;
-    // Superinstruction-granularity logging (DESIGN.md §4.6): pure results
-    // are deferred as expression trees and folded into the entry that
-    // finally consumes them — an SSTORE's stored value, a control-flow /
-    // operand guard, an MSTORE — and the envelope's nonce/balance checks
-    // merge into their write entries (`OpLogEntry::guarded`). A value that
-    // escapes any other way (memory provenance, a call operand, a segment
-    // input) materializes as a kSuperOp entry exactly once. Set when a
-    // fusing CodeProvider backs the read phase; off keeps the legacy
-    // one-entry-per-op granularity (the kOff / fuse=false ablation
-    // baseline). Only effective with fold_constants on.
-    bool superinstruction_log = false;
   };
 
   SsaBuilder() : SsaBuilder(Options{}) {}
@@ -56,9 +45,6 @@ class SsaBuilder final : public Tracer {
   void OnDup(int n) override;
   void OnSwap(int n) override;
   void OnPureOp(Opcode op, std::span<const U256> operands, const U256& result) override;
-  bool WantsSuperOps() const override { return true; }
-  void OnSuperOp(const SuperSegment& seg, std::span<const U256> inputs,
-                 std::span<const U256> outputs) override;
   void OnOpaqueOp(Opcode op, std::span<const U256> operands, int pushes) override;
   void OnCalldataLoad(const U256& offset, const U256& result) override;
   void OnSload(const Address& address, const U256& slot, const U256& value) override;
@@ -108,26 +94,6 @@ class SsaBuilder final : public Tracer {
     std::vector<ByteDef> input_provenance;
   };
 
-  // A deferred pure computation (superinstruction logging): the expression
-  // tree of a value that has not escaped into the log yet. A consuming entry
-  // embeds it (OpLogEntry::super); any other escape materializes it as a
-  // kSuperOp entry once.
-  struct PendingExpr {
-    std::shared_ptr<const SuperExpr> expr;
-    std::vector<U256> input_values;
-    std::vector<Lsn> input_defs;  // Real defs only, never pending sentinels.
-    U256 result;
-    Lsn materialized = kNullLsn;
-  };
-
-  // Pending sentinels live below kNullLsn so they flow through the shadow
-  // stack (DUP/SWAP/POP copy them like ordinary defs).
-  static bool IsPending(Lsn d) { return d < kNullLsn; }
-  static size_t PendingIndex(Lsn d) { return static_cast<size_t>(-2 - d); }
-  static Lsn PendingLsn(size_t index) {
-    return static_cast<Lsn>(-2 - static_cast<Lsn>(index));
-  }
-
   ShadowFrame& frame() { return frames_.back(); }
 
   // Appends an entry, wiring DUG edges from every non-null def.
@@ -135,22 +101,6 @@ class SsaBuilder final : public Tracer {
 
   Lsn PopDef();
   void PushDef(Lsn lsn) { frame().stack.push_back(lsn); }
-
-  Lsn NewPending(std::shared_ptr<const SuperExpr> expr, std::vector<U256> values,
-                 std::vector<Lsn> defs, const U256& result);
-  // Returns a real def for `d`, materializing a deferred expression into its
-  // own kSuperOp entry on first escape.
-  Lsn Strict(Lsn d);
-  // Wires a value operand into `e`: when `d` defers an expression that never
-  // materialized, the expression is embedded (inputs appended to
-  // operands/def_stack, e.super set); otherwise def_stack[def_index] gets the
-  // strict def.
-  void WireValue(OpLogEntry& e, size_t def_index, Lsn d);
-  // Defers `op` over its operands as a composed pending expression (inlining
-  // unmaterialized operand expressions). Returns false when the composition
-  // would exceed the expression caps; the caller then logs eagerly.
-  bool DeferPureOp(Opcode op, std::span<const U256> operands, const std::vector<Lsn>& defs,
-                   const U256& result);
 
   // Emits ASSERT_EQ guarding `value` against its defining op (no-op when the
   // operand is a constant).
@@ -183,7 +133,6 @@ class SsaBuilder final : public Tracer {
   TxLog log_;
   std::vector<ShadowFrame> frames_;
   std::vector<PendingCall> pending_calls_;
-  std::vector<PendingExpr> pendings_;
 };
 
 }  // namespace pevm

@@ -1,8 +1,6 @@
 #include "src/evm/eval.h"
 
 #include <cassert>
-#include <iterator>
-#include <vector>
 
 namespace pevm {
 
@@ -63,54 +61,6 @@ U256 EvalPure(Opcode op, std::span<const U256> operands) {
       assert(false && "EvalPure called with a non-pure opcode");
       return U256{};
   }
-}
-
-U256 EvalSuperExpr(const SuperExpr& expr, std::span<const U256> inputs) {
-  // Postfix programs are short (capped at analysis time); a small local stack
-  // avoids heap churn on the redo path.
-  U256 stack[8];
-  std::vector<U256> overflow;
-  size_t height = 0;
-  auto push = [&](const U256& v) {
-    if (height < std::size(stack)) {
-      stack[height] = v;
-    } else {
-      if (height - std::size(stack) < overflow.size()) {
-        overflow[height - std::size(stack)] = v;
-      } else {
-        overflow.push_back(v);
-      }
-    }
-    ++height;
-  };
-  auto at = [&](size_t i) -> const U256& {
-    return i < std::size(stack) ? stack[i] : overflow[i - std::size(stack)];
-  };
-  for (const SuperStep& step : expr.steps) {
-    switch (step.kind) {
-      case SuperStep::Kind::kConst:
-        push(step.imm);
-        break;
-      case SuperStep::Kind::kInput:
-        assert(step.input < inputs.size());
-        push(inputs[step.input]);
-        break;
-      case SuperStep::Kind::kOp: {
-        assert(height >= step.arity);
-        // Operands were emitted deepest-first, so the top of the eval stack
-        // is the top stack operand — exactly EvalPure's order.
-        U256 operands[3];
-        for (size_t i = 0; i < step.arity; ++i) {
-          operands[i] = at(height - 1 - i);
-        }
-        height -= step.arity;
-        push(EvalPure(step.op, std::span<const U256>(operands, step.arity)));
-        break;
-      }
-    }
-  }
-  assert(height == 1);
-  return at(0);
 }
 
 }  // namespace pevm

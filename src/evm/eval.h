@@ -6,7 +6,6 @@
 
 #include <span>
 
-#include "src/codecache/program.h"
 #include "src/evm/opcode.h"
 #include "src/support/u256.h"
 
@@ -15,12 +14,6 @@ namespace pevm {
 // Evaluates a pure opcode (IsPureOp(op) must hold). Operand order matches
 // stack order: operands[0] is the top of the stack.
 U256 EvalPure(Opcode op, std::span<const U256> operands);
-
-// Evaluates one fused-segment output expression over the segment's referenced
-// entry-stack inputs (inputs[i] is the value for local input index i, i.e.
-// entry depth expr.input_depths[i]). Shared by the interpreter's fused path
-// and the redo phase's kSuperOp re-execution so both necessarily agree.
-U256 EvalSuperExpr(const SuperExpr& expr, std::span<const U256> inputs);
 
 }  // namespace pevm
 

@@ -64,11 +64,8 @@ const char* EvmStatusName(EvmStatus s) {
 struct Interpreter::Frame {
   const Message* msg = nullptr;
   const Bytes* code = nullptr;
-  // Cached per-code-hash analysis (null when the interpreter has no
-  // provider). Held by shared_ptr so a per-block cache can drop its entries
-  // while this frame still runs.
+  // Cached per-code-hash analysis (null when the interpreter has no provider).
   std::shared_ptr<const CodeAnalysis> analysis;
-  const DecodedProgram* program = nullptr;  // Tier-1 dispatch table, may be null.
   // Lazy JUMPDEST bitmap for the no-provider path, built on first jump.
   std::vector<bool> local_jumpdests;
   bool local_jumpdests_built = false;
@@ -141,52 +138,10 @@ const std::vector<bool>& Interpreter::Jumpdests(Frame& f) {
     return f.analysis->jumpdests;
   }
   if (!f.local_jumpdests_built) {
-    const Bytes& code = *f.code;
-    f.local_jumpdests.assign(code.size(), false);
-    for (size_t i = 0; i < code.size(); ++i) {
-      Opcode op = static_cast<Opcode>(code[i]);
-      if (op == Opcode::kJumpdest) {
-        f.local_jumpdests[i] = true;
-      } else if (IsPush(op)) {
-        i += static_cast<size_t>(PushSize(op));
-      }
-    }
+    f.local_jumpdests = JumpdestBitmap(*f.code);
     f.local_jumpdests_built = true;
   }
   return f.local_jumpdests;
-}
-
-void Interpreter::RunSegment(Frame& f, const SuperSegment& seg) {
-  f.gas -= seg.total_gas;  // Precheck guaranteed gas >= total_gas.
-  stats_.instructions += seg.op_count;
-
-  // inputs[j] is the value at entry-stack depth j (0 = top).
-  U256 inputs[kMaxSuperInputs];
-  size_t size = f.stack.size();
-  for (uint32_t j = 0; j < seg.pop_depth; ++j) {
-    inputs[j] = f.stack[size - 1 - j];
-  }
-  f.stack.resize(size - seg.pop_depth);
-
-  U256 outputs[kMaxSuperOutputs];
-  U256 locals[kMaxSuperInputs];
-  for (size_t i = 0; i < seg.outputs.size(); ++i) {
-    const SuperExpr& expr = *seg.outputs[i];
-    if (expr.IsPassthrough()) {
-      outputs[i] = inputs[expr.input_depths[0]];
-    } else {
-      for (size_t k = 0; k < expr.input_depths.size(); ++k) {
-        locals[k] = inputs[expr.input_depths[k]];
-      }
-      outputs[i] = EvalSuperExpr(expr, std::span<const U256>(locals, expr.input_depths.size()));
-    }
-    f.stack.push_back(outputs[i]);
-  }
-  if (tracer_ != nullptr) {
-    tracer_->OnSuperOp(seg, std::span<const U256>(inputs, seg.pop_depth),
-                       std::span<const U256>(outputs, seg.outputs.size()));
-  }
-  f.pc = seg.end_pc;
 }
 
 EvmResult Interpreter::Execute(const Message& msg) {
@@ -205,7 +160,6 @@ EvmResult Interpreter::RunFrame(const Message& msg, const Bytes& code) {
   f.stack.reserve(64);
   if (provider_ != nullptr) {
     f.analysis = provider_->Analyze(code, host_->GetCodeHash(msg.code_address));
-    f.program = f.analysis->program.load(std::memory_order_acquire);
   }
   if (tracer_ != nullptr) {
     tracer_->OnFrameEnter(msg);
@@ -223,26 +177,6 @@ EvmResult Interpreter::RunFrame(const Message& msg, const Bytes& code) {
     if (f.pc >= code.size()) {
       status = EvmStatus::kSuccess;  // Implicit STOP.
       break;
-    }
-
-    // Fused fast path: a superinstruction segment starts here and the static
-    // precheck proves the per-op path could not fail mid-run — execute the
-    // whole run as one fat op. On precheck failure we fall through to per-op
-    // dispatch, which halts at exactly the op (and with exactly the status)
-    // the unfused interpreter would have. The precheck depends only on
-    // deterministic execution state, never on cache residency.
-    if (f.analysis != nullptr && fuse_ok_) {
-      int32_t seg_idx = f.analysis->segment_at[f.pc];
-      if (seg_idx >= 0) {
-        const SuperSegment& seg = f.analysis->segments[static_cast<size_t>(seg_idx)];
-        if (f.stack.size() >= seg.min_height &&
-            static_cast<int64_t>(f.stack.size()) + seg.max_growth <=
-                static_cast<int64_t>(kMaxStack) &&
-            f.gas >= seg.total_gas) {
-          RunSegment(f, seg);
-          continue;
-        }
-      }
     }
 
     Opcode op = static_cast<Opcode>(code[f.pc]);
@@ -272,25 +206,18 @@ EvmResult Interpreter::RunFrame(const Message& msg, const Bytes& code) {
 
     // --- Generic classes first. ---
     if (IsPush(op)) {
-      if (f.program != nullptr) {
-        // Tier-1: immediate pre-decoded at promotion time.
-        const DecodedInsn& insn = f.program->at[f.pc];
-        f.Push(insn.immediate);
-        next_pc = insn.next_pc;
-      } else {
-        int n = PushSize(op);
-        Bytes imm(static_cast<size_t>(n), 0);
-        for (int i = 0; i < n; ++i) {
-          size_t idx = f.pc + 1 + static_cast<size_t>(i);
-          imm[static_cast<size_t>(i)] = idx < code.size() ? code[idx] : 0;
-        }
-        f.Push(U256::FromBigEndian(imm));
-        next_pc = f.pc + 1 + static_cast<size_t>(n);
+      // The immediate decodes from a stack buffer; bytes past the end of the
+      // code read as zero.
+      size_t n = static_cast<size_t>(PushSize(op));
+      std::array<uint8_t, 32> imm{};
+      if (next_pc < code.size()) {
+        std::memcpy(imm.data(), code.data() + next_pc, std::min(n, code.size() - next_pc));
       }
+      f.Push(U256::FromBigEndian(BytesView(imm.data(), n)));
       if (tracer_ != nullptr) {
         tracer_->OnPush();
       }
-      f.pc = next_pc;
+      f.pc = next_pc + n;
       continue;
     }
     if (IsDup(op)) {

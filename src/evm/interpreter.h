@@ -21,21 +21,12 @@ inline constexpr size_t kMaxStack = 1024;
 class Interpreter {
  public:
   // `tracer` and `provider` may be null. All references must outlive the
-  // interpreter. With a provider, frames run against the cached per-code-hash
-  // analysis: JUMPDEST lookups hit the shared bitmap, straight-line fusible
-  // runs execute as superinstructions (when the tracer opts in via
-  // WantsSuperOps — or there is no tracer), and tier-1-promoted code uses the
-  // pre-decoded dispatch table. Without a provider every frame lazily builds
-  // its own JUMPDEST map and dispatch is per-op — identical results either
-  // way.
+  // interpreter. With a provider, frames look JUMPDESTs up in the cached
+  // per-code-hash bitmap; without one every frame scans its code on its
+  // first jump — identical results either way.
   Interpreter(Host& host, const BlockContext& block, const TxContext& tx,
               Tracer* tracer = nullptr, CodeProvider* provider = nullptr)
-      : host_(&host),
-        block_(&block),
-        tx_(&tx),
-        tracer_(tracer),
-        provider_(provider),
-        fuse_ok_(tracer == nullptr || tracer->WantsSuperOps()) {}
+      : host_(&host), block_(&block), tx_(&tx), tracer_(tracer), provider_(provider) {}
 
   // Executes a message call against the host. Exceptional halts consume all
   // frame gas; kRevert returns remaining gas and the revert payload.
@@ -52,11 +43,6 @@ class Interpreter {
   // exceptional halt of the *caller* frame (bad operands / OOG).
   bool DoCall(Frame& frame, Opcode op);
 
-  // Executes one fused segment whose static precheck passed: charges
-  // total_gas, pops pop_depth entries, pushes the output expressions' values,
-  // fires one OnSuperOp.
-  void RunSegment(Frame& frame, const SuperSegment& seg);
-
   const std::vector<bool>& Jumpdests(Frame& frame);
 
   Host* host_;
@@ -64,8 +50,6 @@ class Interpreter {
   const TxContext* tx_;
   Tracer* tracer_;
   CodeProvider* provider_;
-  // The attached tracer understands fused-segment events (no tracer counts).
-  bool fuse_ok_;
   ExecStats stats_;
 };
 

@@ -126,7 +126,6 @@ Table BuildTable() {
   t.Def(Opcode::kDebit, "DEBIT", 2, 1, 0);
   t.Def(Opcode::kCredit, "CREDIT", 2, 1, 0);
   t.Def(Opcode::kNonceBump, "NONCE_BUMP", 1, 1, 0);
-  t.Def(Opcode::kSuperOp, "SUPER_OP", 0, 1, 0);
   t.Def(Opcode::kAssertEq, "ASSERT_EQ", 1, 0, 0);
   t.Def(Opcode::kAssertGe, "ASSERT_GE", 2, 0, 0);
   return t;
@@ -144,6 +143,19 @@ const OpcodeTraits& TraitsOf(Opcode op) { return GetTable().entries[static_cast<
 std::string_view OpcodeName(Opcode op) {
   const OpcodeTraits& t = TraitsOf(op);
   return t.defined ? t.name : "UNDEFINED";
+}
+
+std::vector<bool> JumpdestBitmap(BytesView code) {
+  std::vector<bool> bitmap(code.size(), false);
+  for (size_t pc = 0; pc < code.size(); ++pc) {
+    Opcode op = static_cast<Opcode>(code[pc]);
+    if (op == Opcode::kJumpdest) {
+      bitmap[pc] = true;
+    } else if (IsPush(op)) {
+      pc += static_cast<size_t>(PushSize(op));
+    }
+  }
+  return bitmap;
 }
 
 }  // namespace pevm

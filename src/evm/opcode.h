@@ -6,6 +6,9 @@
 
 #include <cstdint>
 #include <string_view>
+#include <vector>
+
+#include "src/support/bytes.h"
 
 namespace pevm {
 
@@ -118,7 +121,6 @@ enum class Opcode : uint8_t {
   kDebit = 0xe1,          // balance -= amount
   kCredit = 0xe2,         // balance += amount
   kNonceBump = 0xe3,      // nonce += 1
-  kSuperOp = 0xe4,        // Fused superinstruction output (postfix expr program).
   kAssertEq = 0xe8,       // Constraint guard: value must equal def's result.
   kAssertGe = 0xe9,       // Constraint guard: def's result must be >= bound.
 };
@@ -163,6 +165,11 @@ struct OpcodeTraits {
 const OpcodeTraits& TraitsOf(Opcode op);
 
 std::string_view OpcodeName(Opcode op);
+
+// Valid jump targets of `code`: bitmap[pc] is true when a JUMPDEST opcode
+// (not PUSH immediate data) sits at pc. The one scan behind both the code
+// cache's analysis and the interpreter's provider-less path.
+std::vector<bool> JumpdestBitmap(BytesView code);
 
 }  // namespace pevm
 

@@ -13,7 +13,6 @@
 
 #include <span>
 
-#include "src/codecache/program.h"
 #include "src/evm/evm_types.h"
 #include "src/evm/opcode.h"
 #include "src/support/bytes.h"
@@ -52,23 +51,6 @@ class Tracer {
     (void)op;
     (void)operands;
     (void)result;
-  }
-
-  // --- Fused superinstructions. A tracer that returns true here receives one
-  // OnSuperOp per fused segment instead of the per-op event sequence the
-  // segment's instructions would have fired (OnPush/OnPop/OnDup/OnSwap/
-  // OnPureOp). Tracers that return false — the default — always see per-op
-  // events: the interpreter only takes the fused path when the attached
-  // tracer opts in, so existing tracers keep their exact event streams. ---
-  virtual bool WantsSuperOps() const { return false; }
-  // One fused segment executed: popped `inputs` (inputs[j] is the value that
-  // sat at entry-stack depth j; seg.pop_depth of them), pushed `outputs`
-  // (bottom-first, matching seg.outputs).
-  virtual void OnSuperOp(const SuperSegment& seg, std::span<const U256> inputs,
-                         std::span<const U256> outputs) {
-    (void)seg;
-    (void)inputs;
-    (void)outputs;
   }
 
   // An op whose result is constant for this transaction given unchanged

@@ -26,8 +26,7 @@ int64_t IntrinsicGas(const Transaction& tx);
 
 // Executes `tx` against `view`, buffering all writes in the view. `tracer`
 // may be null. `provider` (the code cache, may be null) only affects wall
-// clock unless the tracer opts into superinstruction events — see
-// src/codecache/program.h for the inertness contract.
+// clock — see src/codecache/program.h.
 Receipt ApplyTransaction(StateView& view, const BlockContext& block, const Transaction& tx,
                          Tracer* tracer = nullptr, CodeProvider* provider = nullptr);
 

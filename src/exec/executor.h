@@ -9,7 +9,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "src/codecache/program.h"
+#include "src/codecache/code_cache.h"
 #include "src/exec/types.h"
 #include "src/sim/cost_model.h"
 #include "src/state/sim_store.h"
@@ -48,14 +48,8 @@ struct ExecOptions {
   // Simulated storage latency/batching behind the prefetcher. All-zero
   // latencies (the default) keep the store as pure residency bookkeeping.
   SimStoreConfig storage;
-  // Per-code-hash analysis cache + superinstruction fusion (src/codecache).
-  // Every provider-backed mode (kShared/kPerBlock/kUncached) is bit-identical
-  // in all deterministic BlockReport fields — the cache memoizes a pure
-  // function of the bytecode; only wall clock moves. kOff removes the
-  // provider: roots/receipts/gas/instructions unchanged, but the SSA log
-  // returns to per-op granularity (more oplog_entries, different redo
-  // counters — the §6.4 ablation baseline). `fuse` toggles the granularity on
-  // its own axis.
+  // Compatibility name with no setting (src/codecache/code_cache.h): every
+  // executor uses the process-wide SharedCodeCache().
   CodeCacheConfig code_cache;
   // Chain-runner handoff (src/chain): when true, a ChainRunner owns the
   // SimStore lifecycle — Execute neither clears residency (BeginBlock) nor

@@ -48,12 +48,7 @@ Speculation SpeculateIntoView(StateView& view, const BlockContext& context,
                               const Transaction& tx, bool with_log, CodeProvider* provider) {
   Speculation spec;
   if (with_log) {
-    // Log granularity follows the provider: a fusing provider means
-    // superinstruction logging (deferred expressions folded into consuming
-    // entries); no provider (kOff) or fuse=false keeps the per-op baseline.
-    SsaBuilder::Options builder_options;
-    builder_options.superinstruction_log = provider != nullptr && provider->fused();
-    SsaBuilder builder(builder_options);
+    SsaBuilder builder;
     spec.receipt = ApplyTransaction(view, context, tx, &builder, provider);
     if (!spec.receipt.valid) {
       builder.MarkNotRedoable();
@@ -159,12 +154,6 @@ ReadPhase RunReadPhase(const Block& block, const WorldState& state,
   phase.specs.resize(n);
   phase.durations.assign(n, 0);
 
-  // Code-cache provider for this read phase. kPerBlock owns a fresh cache for
-  // the duration of this call — safe even though oplogs outlive it, because
-  // log entries hold their fused expressions by shared_ptr.
-  std::unique_ptr<CodeCache> per_block_cache;
-  CodeProvider* provider = ResolveCodeProvider(options.code_cache, per_block_cache);
-
   if (store && !options.external_warmup) {
     store->BeginBlock();
   }
@@ -203,7 +192,8 @@ ReadPhase RunReadPhase(const Block& block, const WorldState& state,
     }
     PEVM_TRACE_SPAN_ARG("exec.speculate", "tx", i);
     phase.specs[i] = SpeculateTransaction(state, block.context, block.transactions[i],
-                                          modes[i] == SpecMode::kWithLog, store, provider);
+                                          modes[i] == SpecMode::kWithLog, store,
+                                          &SharedCodeCache());
   };
   int width = ThreadPool::ResolveWidth(options.os_threads);
   if (width <= 1 || n <= 1) {

@@ -53,11 +53,8 @@ struct BoundarySeeds {
 // effects in the returned record. Thread-safe: `state` is only read. When
 // `store` is set, committed reads route through the simulated storage
 // front-end (wall-clock latency + residency tracking; values are unchanged).
-// `provider` is the code cache (null = legacy per-op dispatch and logging);
-// since speculation logs through SsaBuilder, provider presence and fuse
-// setting determine oplog granularity and must match across every site that
-// speculates transactions of one block (RunReadPhase and the chain's spec
-// stage both derive theirs from ExecOptions::code_cache).
+// `provider` is the code cache (null = every frame scans its own JUMPDESTs);
+// it moves only wall clock, never the record.
 Speculation SpeculateTransaction(const WorldState& state, const BlockContext& context,
                                  const Transaction& tx, bool with_log, SimStore* store = nullptr,
                                  CodeProvider* provider = nullptr);
@@ -163,8 +160,8 @@ uint64_t ChargeFailedRedo(const RedoResult& redo, size_t conflict_count, const C
 // the virtual cost (callers count report.full_reexecutions themselves).
 // With `store` set, the re-execution reads through the storage front-end —
 // keys the read phase (or the prefetcher) already warmed stay warm.
-// `provider` is wall-clock-only here (no tracer attached): pass
-// StaticCodeProvider(options.code_cache) so fallbacks share the cache.
+// `provider` is the code cache, as for SpeculateTransaction: pass
+// &SharedCodeCache() so fallbacks share it.
 uint64_t FullReexecute(const Block& block, size_t i, WorldState& state, StateCache& cache,
                        const CostModel& cost, SimStore* store, U256& fees, BlockReport& report,
                        CodeProvider* provider = nullptr);

@@ -528,7 +528,18 @@ std::optional<Bytes> KvStore::Get(std::string_view key) {
           static_cast<ssize_t>(value.size())) {
     FatalIo("pread", segment->path);
   }
-  CacheInsert(key, BytesView(value.data(), value.size()));
+  {
+    // Fill the cache only if the index still maps the key to the location
+    // just read. A Commit in between has already cached the newer value,
+    // which this one must not overwrite; holding index_mu_ across the check
+    // and the insert orders the fill before any later IndexPut.
+    std::lock_guard<std::mutex> lock(index_mu_);
+    auto it = index_.find(std::string(key));
+    if (it != index_.end() && it->second.segment_id == loc.segment_id &&
+        it->second.value_offset == loc.value_offset) {
+      CacheInsert(key, BytesView(value.data(), value.size()));
+    }
+  }
   return value;
 }
 

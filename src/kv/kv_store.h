@@ -205,7 +205,8 @@ class KvStore {
   // Serializes every log append + the index update that publishes it.
   std::mutex writer_mu_;
   // Guards index_ and segments_. Nested inside writer_mu_ by writers; taken
-  // alone by readers.
+  // alone by readers. A reader's cache fill nests a cache shard's mutex
+  // inside it; nothing takes the two the other way round.
   mutable std::mutex index_mu_;
   std::unordered_map<std::string, ValueLoc> index_;
   std::map<uint32_t, std::shared_ptr<Segment>> segments_;  // Ordered by id.

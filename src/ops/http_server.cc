@@ -71,8 +71,10 @@ bool SendResponse(int fd, const HttpResponse& response) {
 }
 
 // Case-insensitive Content-Length scan over the raw header block. The only
-// header this server interprets; everything else passes through unread.
-bool FindContentLength(const std::string& headers, size_t* length) {
+// header this server interprets; everything else passes through unread. A
+// value above `limit` is rejected as soon as the digits pass it, so a long
+// number can never wrap around into a small one.
+bool FindContentLength(const std::string& headers, size_t limit, size_t* length) {
   *length = 0;
   size_t pos = 0;
   while (pos < headers.size()) {
@@ -98,7 +100,11 @@ bool FindContentLength(const std::string& headers, size_t* length) {
           if (c < '0' || c > '9') {
             return false;
           }
-          value = value * 10 + static_cast<size_t>(c - '0');
+          const size_t digit = static_cast<size_t>(c - '0');
+          if (digit > limit || value > (limit - digit) / 10) {
+            return false;
+          }
+          value = value * 10 + digit;
           any = true;
         }
         if (!any) {
@@ -285,10 +291,12 @@ void HttpServer::HandleConnection(int fd) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
+  // The header block sits between the request line and the blank line; it is
+  // empty when the blank line follows the request line directly.
+  const std::string headers =
+      header_end > line_end ? data.substr(line_end + 2, header_end - line_end - 2) : "";
   size_t content_length = 0;
-  if (!FindContentLength(data.substr(line_end + 2, header_end - line_end - 2),
-                         &content_length) ||
-      content_length > options_.max_request_bytes) {
+  if (!FindContentLength(headers, options_.max_request_bytes, &content_length)) {
     SendResponse(fd, {400, "text/plain; charset=utf-8", "bad content-length\n"});
     rejected_.fetch_add(1, std::memory_order_relaxed);
     return;

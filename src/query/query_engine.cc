@@ -88,7 +88,6 @@ QueryResponse EvalQuery(const QueryRequest& request, const BaseReader& reader,
 
 QueryEngine::QueryEngine(SnapshotRegistry& registry, const QueryEngineOptions& options)
     : registry_(&registry), options_(options) {
-  provider_ = StaticCodeProvider(options_.code_cache);
   if (options_.threads < 1) {
     options_.threads = 1;
   }
@@ -168,7 +167,7 @@ void QueryEngine::ServeLoop(int worker) {
       } else {
         SnapshotReader reader(snapshot);
         response = EvalQuery(job->request, reader, snapshot.block_index(), snapshot.root(),
-                             provider_);
+                             &SharedCodeCache());
       }
     }
     const uint64_t elapsed = MonotonicNs() - start;

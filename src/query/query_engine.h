@@ -6,8 +6,8 @@
 //
 // eth_call runs the real interpreter over a StateView stacked on the pinned
 // snapshot, sharing the process-wide CodeCache with the executors (the cache
-// is a pure function of the bytecode, so query-tier hits/promotions cannot
-// perturb execution). Writes the call attempts land in the discarded view and
+// is a pure function of the bytecode, so query-tier lookups cannot perturb
+// execution). Writes the call attempts land in the discarded view and
 // logs are never taken — the snapshot is immutable, so the tier is read-only
 // structurally, not by runtime policing.
 //
@@ -117,10 +117,6 @@ QueryResponse EvalQuery(const QueryRequest& request, const BaseReader& reader,
 struct QueryEngineOptions {
   int threads = 2;              // Serving threads.
   size_t queue_capacity = 256;  // Submit backpressure bound.
-  // Code cache for eth_call dispatch. Default kShared: reuse the process-wide
-  // cache the executors warm (and warm it for them — residency is shared,
-  // results are not affected).
-  CodeCacheConfig code_cache;
 };
 
 // Serving totals (wall-clock class: which thread served what depends on
@@ -173,7 +169,6 @@ class QueryEngine {
 
   SnapshotRegistry* registry_;
   QueryEngineOptions options_;
-  CodeProvider* provider_ = nullptr;
   std::unique_ptr<BoundedQueue<Job>> queue_;
   std::vector<std::thread> threads_;
   std::atomic<bool> stopped_{false};

@@ -41,7 +41,7 @@ struct WorkloadConfig {
   // Skew of the *unified* contract ranking (tokens ∪ pools ∪ funds) used by
   // MakeHotContractBlock: s ≈ 1 reproduces the paper's hot-contract
   // concentration over the whole deployed set, the regime the code cache's
-  // hit rate and tier-1 promotion are measured against.
+  // hit rate is measured against.
   double contract_zipf_s = 1.0;
 
   // Transaction mix (fractions; remainder goes to native transfers).
@@ -101,8 +101,8 @@ class WorkloadGenerator {
   // Zipfian ranking over the whole deployed set (tokens, then pools, then
   // funds, hottest-first by rank), with the call shape implied by the
   // contract's kind. With contract_zipf_s ≈ 1 a handful of code hashes absorb
-  // most invocations — the distribution the per-code-hash analysis cache and
-  // its promotion threshold are designed for.
+  // most invocations — the distribution the per-code-hash analysis cache is
+  // designed for.
   Block MakeHotContractBlock(int transactions);
 
   // Read-only query load over this workload's population (satellite of the

@@ -1,23 +1,27 @@
-// The code-cache contract (DESIGN.md §4.6): tier-0 analysis is a pure static
-// function of (bytecode, fuse) computed exactly once per code hash no matter
-// how many threads race on it; superinstruction execution and logging are
-// bit-equivalent to the per-op path; and cache deployment mode — cold,
-// warm, per-block, uncached — is invisible in every deterministic output.
+// The code-cache contract (DESIGN.md §4.6): the per-code-hash analysis — the
+// JUMPDEST bitmap — is a pure static function of the bytecode, computed
+// exactly once per code hash no matter how many threads race on it; and
+// whether a frame's bitmap comes from the shared cache (cold or warm), from a
+// memoization-free provider, or from the interpreter's own scan is invisible
+// in every deterministic output.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <mutex>
+#include <optional>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "src/baselines/serial.h"
-#include "src/codecache/analysis.h"
 #include "src/codecache/code_cache.h"
+#include "src/core/oplog_printer.h"
 #include "src/core/parallel_evm.h"
-#include "src/core/redo.h"
 #include "src/core/ssa_builder.h"
-#include "src/evm/eval.h"
 #include "src/evm/host.h"
 #include "src/evm/interpreter.h"
+#include "src/exec/pipeline.h"
 #include "src/state/state_view.h"
 #include "src/workload/block_gen.h"
 
@@ -31,107 +35,44 @@ Bytes Code(std::initializer_list<uint8_t> bytes) { return Bytes(bytes); }
 
 Hash256 HashOf(const Bytes& code) { return Keccak256(BytesView(code.data(), code.size())); }
 
-// --- Tier-0 analyzer. ------------------------------------------------------
+// Memoization-free reference provider: scans on every call and records which
+// code it was asked about. The shared cache must be indistinguishable from it
+// in every result.
+class UncachedCodeProvider : public CodeProvider {
+ public:
+  std::shared_ptr<const CodeAnalysis> Analyze(const Bytes& code, const Hash256* hash) override {
+    auto analysis = std::make_shared<CodeAnalysis>();
+    analysis->hash = hash != nullptr ? *hash : HashOf(code);
+    analysis->jumpdests = JumpdestBitmap(code);
+    std::lock_guard<std::mutex> lock(mu_);
+    ++calls_;
+    codes_.try_emplace(analysis->hash, code);
+    return analysis;
+  }
+
+  uint64_t calls() const { return calls_; }
+  // Every distinct code hash analyzed, with its code.
+  const std::map<Hash256, Bytes>& codes() const { return codes_; }
+
+ private:
+  std::mutex mu_;
+  uint64_t calls_ = 0;
+  std::map<Hash256, Bytes> codes_;
+};
+
+// --- The analysis. ---------------------------------------------------------
 
 TEST(CodeAnalysisTest, JumpdestBitmapSkipsPushImmediates) {
   // PUSH1 0x5b (the immediate is NOT a jumpdest), JUMPDEST, STOP.
   Bytes code = Code({0x60, 0x5b, 0x5b, 0x00});
-  auto a = AnalyzeCode(code, HashOf(code), /*fuse=*/true);
-  ASSERT_EQ(a->jumpdests.size(), code.size());
-  EXPECT_FALSE(a->jumpdests[0]);
-  EXPECT_FALSE(a->jumpdests[1]);  // Immediate byte of the PUSH.
-  EXPECT_TRUE(a->jumpdests[2]);
-  EXPECT_FALSE(a->jumpdests[3]);
-}
-
-TEST(CodeAnalysisTest, FusedSegmentCoversMaximalPureRun) {
-  // PUSH1 2, PUSH1 3, ADD, PUSH1 0, SSTORE, STOP: the first four instructions
-  // fuse (SSTORE is not fusible), leaving two outputs on the stack.
-  Bytes code = Code({0x60, 0x02, 0x60, 0x03, 0x01, 0x60, 0x00, 0x55, 0x00});
-  auto a = AnalyzeCode(code, HashOf(code), /*fuse=*/true);
-  ASSERT_EQ(a->segments.size(), 1u);
-  const SuperSegment& seg = a->segments[0];
-  EXPECT_EQ(a->segment_at[0], 0);
-  EXPECT_EQ(seg.start_pc, 0u);
-  EXPECT_EQ(seg.end_pc, 7u);  // First pc past the run (the SSTORE).
-  EXPECT_EQ(seg.op_count, 4u);
-  EXPECT_EQ(seg.pop_depth, 0u);
-  EXPECT_EQ(seg.min_height, 0u);
-  EXPECT_EQ(seg.max_growth, 2);
-  ASSERT_EQ(seg.outputs.size(), 2u);
-  // All-constant dataflow folds at analysis time: outputs are 5 (deep) and 0
-  // (top), each a single kConst step.
-  ASSERT_EQ(seg.outputs[0]->steps.size(), 1u);
-  EXPECT_EQ(seg.outputs[0]->steps[0].kind, SuperStep::Kind::kConst);
-  EXPECT_EQ(seg.outputs[0]->steps[0].imm, U256(5));
-  ASSERT_EQ(seg.outputs[1]->steps.size(), 1u);
-  EXPECT_EQ(seg.outputs[1]->steps[0].imm, U256(0));
-  // Mid-segment pcs are not segment starts.
-  for (uint32_t pc = 1; pc < seg.end_pc; ++pc) {
-    EXPECT_EQ(a->segment_at[pc], -1) << "pc " << pc;
-  }
-}
-
-TEST(CodeAnalysisTest, SegmentNeedsAtLeastTwoOps) {
-  // A lone PUSH between non-fusible ops must not form a segment.
-  Bytes code = Code({0x54, 0x60, 0x01, 0x55, 0x00});  // SLOAD PUSH1 1 SSTORE STOP.
-  auto a = AnalyzeCode(code, HashOf(code), /*fuse=*/true);
-  EXPECT_TRUE(a->segments.empty());
-}
-
-TEST(CodeAnalysisTest, JumpdestIsNeverFusible) {
-  // PUSH1 1, JUMPDEST, PUSH1 2, ADD, STOP: the JUMPDEST splits the run, so
-  // the lone leading PUSH cannot fuse and the tail (PUSH1 2, ADD) can.
-  Bytes code = Code({0x60, 0x01, 0x5b, 0x60, 0x02, 0x01, 0x00});
-  auto a = AnalyzeCode(code, HashOf(code), /*fuse=*/true);
-  ASSERT_EQ(a->segments.size(), 1u);
-  EXPECT_EQ(a->segments[0].start_pc, 3u);
-  EXPECT_EQ(a->segments[0].pop_depth, 1u);  // The ADD consumes the entry top.
-  EXPECT_EQ(a->segments[0].min_height, 1u);
-}
-
-TEST(CodeAnalysisTest, SegmentInputsComeFromEntryStack) {
-  // ADD over two pre-existing stack values: the segment's single output is an
-  // expression over entry inputs, not a constant.
-  Bytes code = Code({0x01, 0x01, 0x00});  // ADD ADD STOP.
-  auto a = AnalyzeCode(code, HashOf(code), /*fuse=*/true);
-  ASSERT_EQ(a->segments.size(), 1u);
-  const SuperSegment& seg = a->segments[0];
-  EXPECT_EQ(seg.pop_depth, 3u);
-  EXPECT_EQ(seg.min_height, 3u);
-  EXPECT_EQ(seg.max_growth, 0);
-  ASSERT_EQ(seg.outputs.size(), 1u);
-  // Evaluate (a + b) + c over inputs top={1}, then 2, then 3.
-  const SuperExpr& expr = *seg.outputs[0];
-  std::vector<U256> inputs(expr.input_depths.size());
-  U256 entry[3] = {U256(1), U256(2), U256(3)};  // entry[d] = value at depth d.
-  for (size_t i = 0; i < expr.input_depths.size(); ++i) {
-    inputs[i] = entry[expr.input_depths[i]];
-  }
-  EXPECT_EQ(EvalSuperExpr(expr, inputs), U256(6));
-}
-
-TEST(CodeAnalysisTest, InputCapSplitsDeepConsumingRuns) {
-  // 40 consecutive ADDs would reference 41 entry-stack slots; the
-  // kMaxSuperInputs cap must split the run deterministically.
-  Bytes code(40, 0x01);
-  code.push_back(0x00);
-  auto a = AnalyzeCode(code, HashOf(code), /*fuse=*/true);
-  ASSERT_GE(a->segments.size(), 2u);
-  uint32_t fused_ops = 0;
-  for (const SuperSegment& seg : a->segments) {
-    EXPECT_LE(seg.pop_depth, kMaxSuperInputs);
-    EXPECT_LE(seg.outputs.size(), kMaxSuperOutputs);
-    fused_ops += seg.op_count;
-  }
-  EXPECT_GE(fused_ops, 38u);  // The split loses at most a run boundary op.
-}
-
-TEST(CodeAnalysisTest, FuseOffKeepsJumpdestsOnly) {
-  Bytes code = Code({0x60, 0x02, 0x60, 0x03, 0x01, 0x5b, 0x00});
-  auto a = AnalyzeCode(code, HashOf(code), /*fuse=*/false);
-  EXPECT_TRUE(a->segments.empty());
-  EXPECT_TRUE(a->jumpdests[5]);
+  std::vector<bool> bitmap = JumpdestBitmap(code);
+  ASSERT_EQ(bitmap.size(), code.size());
+  EXPECT_FALSE(bitmap[0]);
+  EXPECT_FALSE(bitmap[1]);  // Immediate byte of the PUSH.
+  EXPECT_TRUE(bitmap[2]);
+  EXPECT_FALSE(bitmap[3]);
+  // A PUSH32 truncated by the end of the code swallows the rest.
+  EXPECT_EQ(JumpdestBitmap(Code({0x7f, 0x5b, 0x5b})), std::vector<bool>(3, false));
 }
 
 TEST(CodeAnalysisTest, AnalysisIsAPureFunctionOfTheBytes) {
@@ -141,17 +82,11 @@ TEST(CodeAnalysisTest, AnalysisIsAPureFunctionOfTheBytes) {
     for (auto& b : code) {
       b = static_cast<uint8_t>(rng() & 0xff);
     }
-    auto a = AnalyzeCode(code, HashOf(code), /*fuse=*/true);
-    auto b = AnalyzeCode(code, HashOf(code), /*fuse=*/true);
-    ASSERT_EQ(a->segments.size(), b->segments.size());
-    ASSERT_EQ(a->jumpdests, b->jumpdests);
-    ASSERT_EQ(a->segment_at, b->segment_at);
-    for (size_t i = 0; i < a->segments.size(); ++i) {
-      ASSERT_EQ(a->segments[i].start_pc, b->segments[i].start_pc);
-      ASSERT_EQ(a->segments[i].end_pc, b->segments[i].end_pc);
-      ASSERT_EQ(a->segments[i].total_gas, b->segments[i].total_gas);
-      ASSERT_EQ(a->segments[i].outputs.size(), b->segments[i].outputs.size());
-    }
+    Hash256 hash = HashOf(code);
+    CodeCache a;
+    CodeCache b;
+    ASSERT_EQ(a.Analyze(code, &hash)->jumpdests, b.Analyze(code, nullptr)->jumpdests);
+    ASSERT_EQ(a.Analyze(code, &hash)->jumpdests, JumpdestBitmap(code));
   }
 }
 
@@ -182,36 +117,11 @@ TEST(CodeCacheTest, NullHashFallsBackToHashingTheBytes) {
   EXPECT_EQ(cache.GetStats().entries, 1u);
 }
 
-TEST(CodeCacheTest, PromotesAtThresholdExactlyOnce) {
-  CodeCacheConfig config;
-  config.promote_threshold = 3;
-  CodeCache cache(config);
-  Bytes code = Code({0x60, 0x01, 0x60, 0x02, 0x01, 0x00});
-  Hash256 hash = HashOf(code);
-  auto a1 = cache.Analyze(code, &hash);
-  EXPECT_EQ(a1->program.load(), nullptr);
-  cache.Analyze(code, &hash);
-  EXPECT_EQ(a1->program.load(), nullptr);
-  cache.Analyze(code, &hash);  // Third invocation crosses the threshold.
-  const DecodedProgram* program = a1->program.load();
-  ASSERT_NE(program, nullptr);
-  EXPECT_EQ(program->at.size(), code.size());
-  // PUSH immediates are materialized and next-pc skips them.
-  EXPECT_EQ(program->at[0].op, Opcode::kPush1);
-  EXPECT_EQ(program->at[0].immediate, U256(1));
-  EXPECT_EQ(program->at[0].next_pc, 2u);
-  cache.Analyze(code, &hash);
-  EXPECT_EQ(a1->program.load(), program);  // Stable after promotion.
-  EXPECT_EQ(cache.GetStats().promotions, 1u);
-}
-
 // 16 real threads hammer one cache over a small code set: each hash must be
-// analyzed exactly once and promoted exactly once, and every thread must see
-// the same analysis object. (scripts/check_tsan.sh runs this under TSan.)
+// analyzed exactly once, and every thread must see the same analysis object.
+// (scripts/check_tsan.sh runs this under TSan.)
 TEST(CodeCacheTest, ConcurrentLookupsAnalyzeOncePerHash) {
-  CodeCacheConfig config;
-  config.promote_threshold = 4;
-  CodeCache cache(config);
+  CodeCache cache;
   constexpr int kCodes = 8;
   constexpr int kThreads = 16;
   constexpr int kIters = 200;
@@ -241,18 +151,16 @@ TEST(CodeCacheTest, ConcurrentLookupsAnalyzeOncePerHash) {
   CodeCache::Stats stats = cache.GetStats();
   EXPECT_EQ(stats.misses, static_cast<uint64_t>(kCodes));
   EXPECT_EQ(stats.entries, static_cast<uint64_t>(kCodes));
-  EXPECT_EQ(stats.promotions, static_cast<uint64_t>(kCodes));
   EXPECT_EQ(stats.hits, static_cast<uint64_t>(kThreads) * kIters - kCodes);
   for (int c = 0; c < kCodes; ++c) {
     for (int t = 1; t < kThreads; ++t) {
       ASSERT_EQ(seen[static_cast<size_t>(t)][static_cast<size_t>(c)],
                 seen[0][static_cast<size_t>(c)]);
     }
-    ASSERT_NE(seen[0][static_cast<size_t>(c)]->program.load(), nullptr);
   }
 }
 
-// --- Interpreter equivalence: fused vs per-op. -----------------------------
+// --- Interpreter equivalence: cached vs provider-less. ---------------------
 
 Bytes RandomCode(std::mt19937_64& rng, size_t max_len) {
   size_t len = 1 + rng() % max_len;
@@ -282,7 +190,7 @@ struct RunOutcome {
   Bytes output;
   uint64_t state_digest;
   uint64_t instructions;
-  size_t log_entries;
+  std::string log;
 };
 
 RunOutcome RunWith(const Bytes& code, uint64_t data_seed, CodeProvider* provider,
@@ -316,139 +224,35 @@ RunOutcome RunWith(const Bytes& code, uint64_t data_seed, CodeProvider* provider
   post.Apply(view.write_set());
   out.state_digest = post.Digest();
   out.instructions = interp.stats().instructions;
-  out.log_entries = builder.TakeLog().size();
+  out.log = FormatOpLog(builder.TakeLog());
   return out;
 }
 
-// The fused fast path must be invisible in everything except log granularity:
-// status, gas, output, state, and the instruction count all match the per-op
-// interpreter on arbitrary bytecode, with and without the SSA builder.
-TEST(FusedExecutionTest, RandomBytecodeMatchesPerOpExecution) {
+// A cached analysis must be invisible: status, gas, output, state, the
+// instruction count and the SSA log all match the provider-less interpreter
+// on arbitrary bytecode (truncated PUSHes and bad jumps included), with and
+// without the SSA builder.
+TEST(CodeCacheTest, RandomBytecodeMatchesProviderlessExecution) {
   std::mt19937_64 rng(0xCACE);
-  UncachedCodeProvider provider(/*fuse=*/true);
+  CodeCache cache;
   for (int i = 0; i < 600; ++i) {
     Bytes code = RandomCode(rng, 96);
     uint64_t data_seed = rng();
     bool with_log = (i % 2) == 0;
-    RunOutcome fused = RunWith(code, data_seed, &provider, with_log);
+    RunOutcome cached = RunWith(code, data_seed, &cache, with_log);
     RunOutcome plain = RunWith(code, data_seed, nullptr, with_log);
-    ASSERT_EQ(fused.status, plain.status) << HexEncode(code);
-    ASSERT_EQ(fused.gas_left, plain.gas_left) << HexEncode(code);
-    ASSERT_EQ(fused.output, plain.output) << HexEncode(code);
-    ASSERT_EQ(fused.state_digest, plain.state_digest) << HexEncode(code);
-    ASSERT_EQ(fused.instructions, plain.instructions) << HexEncode(code);
-    if (with_log) {
-      // Superinstruction logging can only shrink the log.
-      ASSERT_LE(fused.log_entries, plain.log_entries) << HexEncode(code);
-    }
+    ASSERT_EQ(cached.status, plain.status) << HexEncode(code);
+    ASSERT_EQ(cached.gas_left, plain.gas_left) << HexEncode(code);
+    ASSERT_EQ(cached.output, plain.output) << HexEncode(code);
+    ASSERT_EQ(cached.state_digest, plain.state_digest) << HexEncode(code);
+    ASSERT_EQ(cached.instructions, plain.instructions) << HexEncode(code);
+    ASSERT_EQ(cached.log, plain.log) << HexEncode(code);
   }
-}
-
-// Tier-1 dispatch must be bit-identical to tier-0 dispatch: run the same code
-// through a cache below and above its promotion threshold.
-TEST(FusedExecutionTest, PromotedDispatchMatchesUnpromoted) {
-  std::mt19937_64 rng(0xBEEF);
-  for (int i = 0; i < 200; ++i) {
-    Bytes code = RandomCode(rng, 96);
-    uint64_t data_seed = rng();
-    CodeCacheConfig cold_config;
-    cold_config.promote_threshold = 1'000'000;  // Never promotes.
-    CodeCache cold(cold_config);
-    CodeCacheConfig hot_config;
-    hot_config.promote_threshold = 1;  // Promotes on first invocation.
-    CodeCache hot(hot_config);
-    RunOutcome tier0 = RunWith(code, data_seed, &cold, /*with_log=*/true);
-    RunOutcome tier1 = RunWith(code, data_seed, &hot, /*with_log=*/true);
-    ASSERT_EQ(tier1.status, tier0.status) << HexEncode(code);
-    ASSERT_EQ(tier1.gas_left, tier0.gas_left) << HexEncode(code);
-    ASSERT_EQ(tier1.output, tier0.output) << HexEncode(code);
-    ASSERT_EQ(tier1.state_digest, tier0.state_digest) << HexEncode(code);
-    ASSERT_EQ(tier1.instructions, tier0.instructions) << HexEncode(code);
-    ASSERT_EQ(tier1.log_entries, tier0.log_entries) << HexEncode(code);
-  }
-}
-
-// Redo over fused logs: structured storage programs speculated at
-// superinstruction granularity, perturbed, then repaired — the patched write
-// set must match full re-execution exactly (the kSuperOp redo case).
-TEST(FusedExecutionTest, RedoOverFusedLogsMatchesReexecutionOracle) {
-  std::mt19937_64 rng(0xF00D);
-  UncachedCodeProvider provider(/*fuse=*/true);
-  int checked = 0;
-  int super_entries = 0;
-  for (int trial = 0; trial < 200; ++trial) {
-    Bytes code;
-    std::mt19937_64 prog_rng(rng());
-    auto push1 = [&](uint8_t v) {
-      code.push_back(0x60);
-      code.push_back(v);
-    };
-    int ops = 2 + static_cast<int>(prog_rng() % 6);
-    for (int i = 0; i < ops; ++i) {
-      push1(static_cast<uint8_t>(prog_rng() % 4));  // Slot.
-      code.push_back(0x54);                         // SLOAD.
-      push1(static_cast<uint8_t>(1 + prog_rng() % 9));
-      code.push_back(static_cast<uint8_t>(prog_rng() % 2 == 0 ? 0x01 : 0x03));  // ADD/SUB.
-      // A shuffle run after the arithmetic so fused segments with real
-      // (non-constant) inputs appear in the log.
-      code.push_back(0x80);  // DUP1.
-      code.push_back(0x01);  // ADD -> 2x.
-      push1(static_cast<uint8_t>(prog_rng() % 4));  // Target slot.
-      code.push_back(0x55);                         // SSTORE.
-    }
-    code.push_back(0x00);  // STOP.
-
-    WorldState world;
-    world.SetCode(kSelf, code);
-    for (uint64_t s = 0; s < 4; ++s) {
-      world.SetStorage(kSelf, U256(s), U256(100 + s * 10));
-    }
-    StateView view(world);
-    StateViewHost host(view);
-    BlockContext block;
-    TxContext tx{kCaller, U256(1)};
-    SsaBuilder builder;
-    Interpreter interp(host, block, tx, &builder, &provider);
-    Message msg;
-    msg.code_address = kSelf;
-    msg.storage_address = kSelf;
-    msg.caller = kCaller;
-    msg.gas = 1'000'000;
-    ASSERT_EQ(interp.Execute(msg).status, EvmStatus::kSuccess);
-    TxLog log = builder.TakeLog();
-    for (const OpLogEntry& entry : log.entries) {
-      super_entries += entry.op == Opcode::kSuperOp ? 1 : 0;
-    }
-
-    WorldState perturbed = world;
-    StateKey key = StateKey::Storage(kSelf, U256(prog_rng() % 4));
-    U256 new_value(500 + prog_rng() % 100);
-    perturbed.Set(key, new_value);
-    ConflictMap conflicts{{key, new_value}};
-    RedoResult redo =
-        RunRedo(log, conflicts, [&](const StateKey& k) { return perturbed.Get(k); });
-
-    StateView oracle_view(perturbed);
-    StateViewHost oracle_host(oracle_view);
-    Interpreter oracle_interp(oracle_host, block, tx);
-    ASSERT_EQ(oracle_interp.Execute(msg).status, EvmStatus::kSuccess);
-    if (!redo.success) {
-      continue;  // Declining is always sound.
-    }
-    ++checked;
-    const WriteSet& oracle_writes = oracle_view.write_set();
-    ASSERT_EQ(redo.write_set.size(), oracle_writes.size()) << HexEncode(code);
-    for (const auto& [k, v] : oracle_writes) {
-      ASSERT_EQ(redo.write_set.at(k), v) << HexEncode(code) << " key " << k.ToString();
-    }
-  }
-  EXPECT_GT(checked, 50);       // The repair property must not be vacuous...
-  EXPECT_GT(super_entries, 0);  // ...and must actually cover kSuperOp entries.
 }
 
 // --- Executor-level differential battery. ----------------------------------
 
-struct ModeResult {
+struct StreamResult {
   std::string root;
   std::vector<BlockReport> reports;
 };
@@ -468,15 +272,17 @@ class CodeCacheDifferentialTest : public ::testing::Test {
     blocks_.push_back(gen_->MakeBlock());
   }
 
-  ModeResult Run(CodeCacheMode mode, int os_threads, int promote_threshold = 8) {
+  static ExecOptions Options(int os_threads) {
     ExecOptions options;
     options.threads = 8;
     options.os_threads = os_threads;
-    options.code_cache.mode = mode;
-    options.code_cache.promote_threshold = promote_threshold;
+    return options;
+  }
+
+  StreamResult Run(int os_threads) {
     WorldState state = genesis_;
-    ParallelEvmExecutor executor(options);
-    ModeResult result;
+    ParallelEvmExecutor executor(Options(os_threads));
+    StreamResult result;
     for (const Block& block : blocks_) {
       result.reports.push_back(executor.Execute(block, state));
     }
@@ -498,76 +304,91 @@ class CodeCacheDifferentialTest : public ::testing::Test {
     EXPECT_EQ(a.receipts, b.receipts);
   }
 
+  static void ExpectSameSpeculation(const Speculation& a, const Speculation& b) {
+    EXPECT_EQ(a.receipt, b.receipt);
+    EXPECT_EQ(a.reads, b.reads);
+    EXPECT_EQ(a.writes, b.writes);
+    EXPECT_EQ(a.log.redoable, b.log.redoable);
+    EXPECT_EQ(FormatOpLog(a.log), FormatOpLog(b.log));
+  }
+
   std::optional<WorkloadGenerator> gen_;
   WorldState genesis_;
   std::vector<Block> blocks_;
 };
 
-// Cold (per-block), warm (shared, pre-warmed by a prior run), uncached, and
-// every OS-thread count: bit-identical deterministic reports. This is the
-// §4.6 inertness claim at executor granularity — cache residency and tier-1
-// hotness cannot leak into results.
+// Every transaction of the stream speculates to the same record — receipt,
+// read and write sets, SSA log — whether its frames take their JUMPDEST
+// bitmaps from a memoization-free provider, a cold cache, the warm shared
+// cache, or their own scan; and ParallelEVM on the shared cache reports
+// bit-identical deterministic fields at every OS-thread count. This is the
+// §4.6 inertness claim: cache residency cannot leak into results. Over the
+// stream each distinct code hash is analyzed exactly once.
 TEST_F(CodeCacheDifferentialTest, CacheModeAndWarmthAreInvisibleInResults) {
-  Run(CodeCacheMode::kShared, /*os_threads=*/4);  // Warm the shared cache.
-  ModeResult base = Run(CodeCacheMode::kShared, /*os_threads=*/1);
-  for (CodeCacheMode mode :
-       {CodeCacheMode::kShared, CodeCacheMode::kPerBlock, CodeCacheMode::kUncached}) {
-    for (int os_threads : {1, 4, 16}) {
-      SCOPED_TRACE(testing::Message()
-                   << "mode=" << static_cast<int>(mode) << " os_threads=" << os_threads);
-      ModeResult other = Run(mode, os_threads);
-      EXPECT_EQ(base.root, other.root);
-      ASSERT_EQ(base.reports.size(), other.reports.size());
-      for (size_t b = 0; b < base.reports.size(); ++b) {
-        SCOPED_TRACE(testing::Message() << "block=" << b);
-        ExpectDeterministicFieldsEqual(base.reports[b], other.reports[b]);
-      }
+  const CodeCache::Stats shared_before = SharedCodeCache().GetStats();
+  StreamResult base = Run(/*os_threads=*/1);
+  for (int os_threads : {4, 16}) {
+    SCOPED_TRACE(testing::Message() << "os_threads=" << os_threads);
+    StreamResult other = Run(os_threads);
+    EXPECT_EQ(base.root, other.root);
+    ASSERT_EQ(base.reports.size(), other.reports.size());
+    for (size_t b = 0; b < base.reports.size(); ++b) {
+      SCOPED_TRACE(testing::Message() << "block=" << b);
+      ExpectDeterministicFieldsEqual(base.reports[b], other.reports[b]);
     }
   }
-  // An extreme promotion threshold (everything promotes immediately) is just
-  // as invisible: tier 1 is dispatch speed, not semantics.
-  ModeResult eager = Run(CodeCacheMode::kPerBlock, /*os_threads=*/4, /*promote_threshold=*/1);
-  EXPECT_EQ(base.root, eager.root);
-  for (size_t b = 0; b < base.reports.size(); ++b) {
-    ExpectDeterministicFieldsEqual(base.reports[b], eager.reports[b]);
+
+  UncachedCodeProvider uncached;
+  CodeCache cold;
+  WorldState state = genesis_;
+  ParallelEvmExecutor executor(Options(/*os_threads=*/4));
+  for (size_t b = 0; b < blocks_.size(); ++b) {
+    const Block& block = blocks_[b];
+    for (size_t i = 0; i < block.transactions.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << "block=" << b << " tx=" << i);
+      const Transaction& tx = block.transactions[i];
+      Speculation reference = SpeculateTransaction(state, block.context, tx, /*with_log=*/true,
+                                                   nullptr, &uncached);
+      for (CodeProvider* provider : {static_cast<CodeProvider*>(&cold),
+                                     static_cast<CodeProvider*>(&SharedCodeCache()),
+                                     static_cast<CodeProvider*>(nullptr)}) {
+        ExpectSameSpeculation(reference, SpeculateTransaction(state, block.context, tx,
+                                                              /*with_log=*/true, nullptr,
+                                                              provider));
+      }
+    }
+    executor.Execute(block, state);
   }
+  EXPECT_EQ(HexEncode(state.StateRoot()), base.root);
+
+  // A cache that saw exactly the reference's lookups analyzed each distinct
+  // code hash once and answered every other lookup from memory.
+  ASSERT_FALSE(uncached.codes().empty());
+  const CodeCache::Stats cold_stats = cold.GetStats();
+  EXPECT_EQ(cold_stats.misses, uncached.codes().size());
+  EXPECT_EQ(cold_stats.entries, uncached.codes().size());
+  EXPECT_EQ(cold_stats.hits + cold_stats.misses, uncached.calls());
+  // The shared cache, which the executors used throughout: every hash that
+  // became resident was analyzed once, and every code the stream ran is
+  // resident.
+  const CodeCache::Stats shared_after = SharedCodeCache().GetStats();
+  EXPECT_EQ(shared_after.misses - shared_before.misses,
+            shared_after.entries - shared_before.entries);
+  for (const auto& [hash, code] : uncached.codes()) {
+    SharedCodeCache().Analyze(code, &hash);
+  }
+  EXPECT_EQ(SharedCodeCache().GetStats().misses, shared_after.misses);
 }
 
-// kOff removes the provider: results (roots, receipts, gas) are unchanged,
-// but the SSA log returns to per-op granularity — strictly more entries on a
-// workload with fusible runs. This is the §6.4 log-overhead ablation pair.
-TEST_F(CodeCacheDifferentialTest, DisabledCacheKeepsResultsButLogsPerOp) {
-  ModeResult fused = Run(CodeCacheMode::kShared, /*os_threads=*/4);
-  ModeResult off = Run(CodeCacheMode::kOff, /*os_threads=*/4);
-  EXPECT_EQ(fused.root, off.root);
-  ASSERT_EQ(fused.reports.size(), off.reports.size());
-  uint64_t fused_entries = 0;
-  uint64_t off_entries = 0;
-  for (size_t b = 0; b < fused.reports.size(); ++b) {
-    EXPECT_EQ(fused.reports[b].receipts, off.reports[b].receipts) << "block " << b;
-    EXPECT_EQ(fused.reports[b].instructions, off.reports[b].instructions) << "block " << b;
-    fused_entries += fused.reports[b].oplog_entries;
-    off_entries += off.reports[b].oplog_entries;
-  }
-  EXPECT_LT(fused_entries, off_entries);
-}
-
-// The serial oracle agrees with every cached parallel mode, closing the loop
+// The serial oracle agrees with cached parallel execution, closing the loop
 // against an executor that never builds logs at all.
 TEST_F(CodeCacheDifferentialTest, CachedParallelMatchesSerialOracle) {
-  ExecOptions options;
-  options.threads = 8;
   WorldState serial_state = genesis_;
-  SerialExecutor serial(options);
+  SerialExecutor serial(Options(/*os_threads=*/1));
   for (const Block& block : blocks_) {
     serial.Execute(block, serial_state);
   }
-  std::string oracle_root = HexEncode(serial_state.StateRoot());
-  for (CodeCacheMode mode : {CodeCacheMode::kShared, CodeCacheMode::kPerBlock,
-                             CodeCacheMode::kUncached, CodeCacheMode::kOff}) {
-    EXPECT_EQ(Run(mode, /*os_threads=*/4).root, oracle_root)
-        << "mode " << static_cast<int>(mode);
-  }
+  EXPECT_EQ(Run(/*os_threads=*/4).root, HexEncode(serial_state.StateRoot()));
 }
 
 }  // namespace

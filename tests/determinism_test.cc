@@ -191,20 +191,48 @@ TEST_F(DeterminismTest, PrefetchDepthIsInvisibleInResults) {
   }
 }
 
-// The code cache joins the determinism contract: every provider-backed mode
-// (shared, per-block, uncached) must satisfy the full ExpectSameReport
-// comparison — oplog_entries and redo counters included — at every OS-thread
-// count, because tier-0 analysis is a pure function of the bytecode and the
-// log granularity it implies never depends on cache residency.
-TEST_F(DeterminismTest, CodeCacheModeIsOsThreadCountInvariant) {
-  for (CodeCacheMode mode :
-       {CodeCacheMode::kShared, CodeCacheMode::kPerBlock, CodeCacheMode::kUncached}) {
-    ExpectThreadCountInvisible([mode](const Block& block, WorldState& state,
-                                      const ExecOptions& options) {
-      ExecOptions o = options;
-      o.code_cache.mode = mode;
-      return ParallelEvmExecutor(o).Execute(block, state);
-    });
+// Pins the per-operation SSA log: the deterministic counters of ParallelEVM
+// over a fixed seeded stream, at 1 and 4 OS threads. Every entry count, redo
+// counter and the virtual makespan depend on the log's granularity (one entry
+// per non-constant operation, paper §5.2), so any change to what the builder
+// logs or the redo re-executes moves them. A change meant to alter the log's
+// granularity updates these values; any other change must leave them alone.
+TEST(PerOpLogPinTest, ParallelEvmStreamCountersArePinned) {
+  WorkloadConfig config;
+  config.users = 300;
+  config.seed = 1;
+  WorkloadGenerator gen(config);
+  WorldState genesis = gen.MakeGenesis();
+  std::vector<Block> blocks;
+  for (int b = 0; b < 6; ++b) {
+    blocks.push_back(gen.MakeBlock());
+  }
+  for (int b = 0; b < 2; ++b) {
+    blocks.push_back(gen.MakeHotContractBlock(200));
+  }
+  for (int os_threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << "os_threads=" << os_threads);
+    ExecOptions options;
+    options.os_threads = os_threads;
+    ParallelEvmExecutor executor(options);
+    WorldState state = genesis;
+    std::vector<BlockReport> reports;
+    for (const Block& block : blocks) {
+      reports.push_back(executor.Execute(block, state));
+    }
+    BlockReport total = AggregateBlockReports(reports);
+    EXPECT_EQ(total.oplog_entries, 46'597u);
+    EXPECT_EQ(total.redo_entries_reexecuted, 16'137u);
+    EXPECT_EQ(total.conflicts, 1'164);
+    EXPECT_EQ(total.redo_success, 1'038);
+    EXPECT_EQ(total.redo_fail, 1);
+    EXPECT_EQ(total.full_reexecutions, 126);
+    EXPECT_EQ(total.instructions, 261'300u);
+    EXPECT_EQ(total.makespan_ns, 6'580'123u);
+    EXPECT_EQ(total.redo_ns, 2'992'600u);
+    EXPECT_EQ(total.conflict_keys.size(), 230u);
+    EXPECT_EQ(HexEncode(state.StateRoot()),
+              "5c55f9cc403b666311bc5664510c77ff693bf8f5a4f7fbeac55602456fbd33b3");
   }
 }
 

@@ -3,7 +3,9 @@
 // torn-tail and corrupt-record recovery, segment rotation, compaction
 // (including tombstones), the sharded read cache, and a concurrency battery
 // (writer + readers + compaction) that doubles as the TSan driver.
+#include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <random>
 #include <string>
@@ -486,6 +488,74 @@ TEST_F(KvConcurrencyTest, WritersReadersAndCompactionRace) {
     ASSERT_TRUE(value.has_value());
     EXPECT_EQ((*value)[0], kRounds - 1);
   }
+}
+
+// A reader's cache fill must never overwrite a newer commit. Get looks the
+// key up, drops the index lock, reads the value and then fills the cache; a
+// Commit in that gap has already cached the newer value. With a cache of
+// about one entry per shard every read of a hot key misses and races the
+// writer, so an unguarded fill shows up as a key going back in time within a
+// few trials.
+TEST_F(KvConcurrencyTest, CacheFillNeverOverwritesANewerCommit) {
+  KvOptions options;
+  options.background_compaction = false;
+  options.cache_bytes = 8 * 80;  // One 69-byte entry per shard.
+  constexpr int kKeys = 16;
+  constexpr uint32_t kRounds = 2000;
+  constexpr int kReaders = 3;
+  constexpr int kTrials = 20;
+  auto key_of = [](int k) { return "key" + std::to_string(k); };
+  int trials_going_back = 0;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    fs::remove_all(dir_);
+    auto store = OpenStore(options);
+    ASSERT_NE(store, nullptr);
+    std::atomic<bool> done{false};
+    std::atomic<int> backwards{0};
+    std::vector<std::thread> readers;
+    for (int r = 0; r < kReaders; ++r) {
+      readers.emplace_back([&, r] {
+        std::mt19937_64 rng(static_cast<uint64_t>(trial * kReaders + r) + 1);
+        std::vector<int64_t> last_seen(kKeys, -1);
+        while (!done.load(std::memory_order_acquire)) {
+          int k = static_cast<int>(rng() % kKeys);
+          auto value = store->Get(key_of(k));
+          if (!value.has_value()) {
+            continue;
+          }
+          uint32_t round = 0;
+          std::memcpy(&round, value->data(), sizeof(round));
+          if (round < last_seen[static_cast<size_t>(k)]) {
+            backwards.fetch_add(1, std::memory_order_relaxed);
+          }
+          last_seen[static_cast<size_t>(k)] = round;
+        }
+      });
+    }
+    for (uint32_t round = 0; round < kRounds; ++round) {
+      WriteBatch batch;
+      Bytes value(64, 0);
+      std::memcpy(value.data(), &round, sizeof(round));
+      for (int k = 0; k < kKeys; ++k) {
+        batch.Put(key_of(k), value);
+      }
+      store->Commit(batch);
+    }
+    done.store(true, std::memory_order_release);
+    for (std::thread& t : readers) {
+      t.join();
+    }
+    trials_going_back += backwards.load() > 0 ? 1 : 0;
+    // Once the writer stops, every key reads its last round.
+    for (int k = 0; k < kKeys; ++k) {
+      auto value = store->Get(key_of(k));
+      ASSERT_TRUE(value.has_value());
+      uint32_t round = 0;
+      std::memcpy(&round, value->data(), sizeof(round));
+      EXPECT_EQ(round, kRounds - 1) << key_of(k) << " trial " << trial;
+    }
+  }
+  EXPECT_EQ(trials_going_back, 0) << "of " << kTrials << " trials";
 }
 
 }  // namespace

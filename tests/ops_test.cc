@@ -16,9 +16,11 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -55,14 +57,20 @@ struct FetchResult {
   int status = 0;
   std::string headers;  // Raw header block.
   std::string body;
+  bool timed_out = false;  // The server neither answered nor closed in time.
 };
 
-FetchResult FetchRaw(int port, const std::string& request) {
+// With `half_close` the client shuts its sending side after the request, so
+// the server sees end-of-stream instead of waiting for bytes that never come.
+FetchResult FetchRaw(int port, const std::string& request, bool half_close = false) {
   FetchResult result;
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
     return result;
   }
+  timeval timeout{};
+  timeout.tv_sec = 10;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<uint16_t>(port));
@@ -80,11 +88,18 @@ FetchResult FetchRaw(int port, const std::string& request) {
     }
     sent += static_cast<size_t>(n);
   }
+  if (half_close) {
+    ::shutdown(fd, SHUT_WR);
+  }
   std::string response;
   char buf[4096];
   for (;;) {
     ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
     if (n <= 0) {
+      result.timed_out = n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
       break;
     }
     response.append(buf, static_cast<size_t>(n));
@@ -180,7 +195,18 @@ TEST(HttpServerTest, MalformedRequestRejected) {
   HttpServer::Options options;
   options.port = 0;
   HttpServer server(options);
-  server.Route("GET", "/ping", [](const HttpRequest&) { return HttpResponse{}; });
+  server.Route("GET", "/ping", [](const HttpRequest&) {
+    HttpResponse response;
+    response.body = "pong";
+    return response;
+  });
+  std::atomic<int> echoed{0};
+  server.Route("POST", "/echo", [&echoed](const HttpRequest& request) {
+    echoed.fetch_add(1);
+    HttpResponse response;
+    response.body = request.body;
+    return response;
+  });
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
   FetchResult bad = FetchRaw(server.port(), "NOT-HTTP\r\n\r\n");
@@ -189,6 +215,98 @@ TEST(HttpServerTest, MalformedRequestRejected) {
   if (bad.ok) {
     EXPECT_EQ(bad.status, 400);
   }
+  // 2^64 + 1: a size_t accumulator would wrap to 1, pass the size limit and
+  // serve "x" as the body. It must be refused.
+  FetchResult wrapped = FetchRaw(
+      server.port(),
+      "POST /echo HTTP/1.1\r\nContent-Length: 18446744073709551617\r\n\r\nx");
+  EXPECT_FALSE(wrapped.timed_out);
+  if (wrapped.ok) {
+    EXPECT_EQ(wrapped.status, 400);
+  }
+  EXPECT_EQ(echoed.load(), 0);
+  // The blank line right after the request line ends an empty header block:
+  // what follows is body, not headers.
+  FetchResult no_headers =
+      FetchRaw(server.port(), "GET /ping HTTP/1.1\r\n\r\nContent-Length: x");
+  ASSERT_TRUE(no_headers.ok);
+  EXPECT_EQ(no_headers.status, 200);
+  EXPECT_EQ(no_headers.body, "pong");
+  server.Stop();
+}
+
+// Seeded mutations of valid requests — truncation, byte flips, duplicated
+// headers, huge Content-Length values — must each get a status line or a
+// closed connection, never a hang or a crash, and the server must go on
+// serving valid requests afterwards.
+TEST(HttpServerTest, MutatedRequestsGetAStatusOrAClose) {
+  HttpServer::Options options;
+  options.port = 0;
+  options.max_request_bytes = 4096;
+  HttpServer server(options);
+  server.Route("GET", "/ping", [](const HttpRequest&) {
+    HttpResponse response;
+    response.body = "pong";
+    return response;
+  });
+  server.Route("POST", "/echo", [](const HttpRequest& request) {
+    HttpResponse response;
+    response.body = request.body;
+    return response;
+  });
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  const std::vector<std::string> valid = {
+      "GET /ping HTTP/1.1\r\nHost: localhost\r\nAccept: */*\r\n\r\n",
+      "POST /echo HTTP/1.1\r\nHost: localhost\r\nContent-Length: 5\r\n\r\nhello",
+  };
+  const std::vector<std::string> numbers = {
+      "18446744073709551615", "18446744073709551616", "18446744073709551617",
+      "99999999999999999999999999999999", "4097", "1048577", "-1", "0x10", "1 2", "",
+  };
+  std::mt19937_64 rng(0x4771);
+  for (int i = 0; i < 300; ++i) {
+    std::string request = valid[rng() % valid.size()];
+    const size_t headers_begin = request.find("\r\n") + 2;
+    const size_t headers_end = request.find("\r\n\r\n") + 2;
+    switch (rng() % 4) {
+      case 0:  // Truncation.
+        request.resize(rng() % request.size());
+        break;
+      case 1:  // Byte flips.
+        for (int flips = 1 + static_cast<int>(rng() % 4); flips > 0; --flips) {
+          request[rng() % request.size()] = static_cast<char>(rng() & 0xff);
+        }
+        break;
+      case 2: {  // A duplicated header line.
+        size_t begin = headers_begin;
+        for (size_t skip = rng() % 2; skip > 0 && begin < headers_end; --skip) {
+          begin = request.find("\r\n", begin) + 2;
+        }
+        const size_t end = request.find("\r\n", begin) + 2;
+        request.insert(begin, request.substr(begin, end - begin));
+        break;
+      }
+      default:  // A huge or malformed Content-Length, possibly a second one.
+        request.insert(headers_begin,
+                       "Content-Length: " + numbers[rng() % numbers.size()] + "\r\n");
+        break;
+    }
+    SCOPED_TRACE(testing::Message() << "request " << i << ": " << testing::PrintToString(request));
+    FetchResult result = FetchRaw(server.port(), request, /*half_close=*/true);
+    ASSERT_FALSE(result.timed_out);
+    if (result.ok) {
+      EXPECT_TRUE(result.status == 200 || result.status == 400 || result.status == 404 ||
+                  result.status == 405 || result.status == 413)
+          << result.status;
+    }
+  }
+
+  FetchResult ping = Get(server.port(), "/ping");
+  ASSERT_TRUE(ping.ok);
+  EXPECT_EQ(ping.status, 200);
+  EXPECT_EQ(ping.body, "pong");
   server.Stop();
 }
 
