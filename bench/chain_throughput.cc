@@ -264,10 +264,10 @@ int main(int argc, char** argv) {
     row.bytes_appended = report.kv_bytes_appended;
     row.fsyncs = report.kv_fsyncs;
     row.sync_ms = report.kv_sync_ns / 1e6;
-    for (const BlockDurability& d : report.durability) {
-      row.apply_ms += d.apply_ns / 1e6;
-      row.persist_ms += d.persist_ns / 1e6;
-      row.nodes += d.nodes_written;
+    for (const ops::BlockRecord& r : report.blocks) {
+      row.apply_ms += r.commit_apply_ns / 1e6;
+      row.persist_ms += r.commit_persist_ns / 1e6;
+      row.nodes += r.nodes_written;
     }
     kv_rows.push_back(row);
     std::printf("%-12s %-7s %-11.2f %-9.1f %-12.3f %-10.2f %-9llu %.2f\n", row.store,
@@ -354,15 +354,15 @@ int main(int argc, char** argv) {
         row.batches = report.commit_batches;
         row.bytes_appended = report.kv_bytes_appended;
         uint64_t q2d_sum = 0, q2d_max = 0;
-        for (const BlockDurability& d : report.durability) {
-          row.apply_ms += d.apply_ns / 1e6;
-          row.persist_ms += d.persist_ns / 1e6;
-          row.nodes += d.nodes_written;
-          q2d_sum += d.queue_to_durable_ns;
-          q2d_max = std::max(q2d_max, d.queue_to_durable_ns);
+        for (const ops::BlockRecord& r : report.blocks) {
+          row.apply_ms += r.commit_apply_ns / 1e6;
+          row.persist_ms += r.commit_persist_ns / 1e6;
+          row.nodes += r.nodes_written;
+          q2d_sum += r.queue_to_durable_ns;
+          q2d_max = std::max(q2d_max, r.queue_to_durable_ns);
         }
-        if (!report.durability.empty()) {
-          row.q2d_mean_ms = static_cast<double>(q2d_sum) / report.durability.size() / 1e6;
+        if (!report.blocks.empty()) {
+          row.q2d_mean_ms = static_cast<double>(q2d_sum) / report.blocks.size() / 1e6;
         }
         row.q2d_max_ms = q2d_max / 1e6;
         if (!sharded && batch == 1) {

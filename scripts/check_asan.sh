@@ -8,10 +8,13 @@
 # close/abort-with-items-in-flight paths, the KV store's segment buffers and
 # compaction, the trie's node recycling, the code cache's shared analyses
 # and the interpreter's PUSH decoding under the code-cache differential
-# suites, the HTTP parser under seeded malformed input, and the chain
-# runner's shutdown/abort teardown. The substrate suites run here too: UBSan checks the
-# unrolled Keccak's rotations and the limb shifts of U256 division, ASan the
-# bounds of the RLP writers the trie encodes nodes with.
+# suites, the HTTP parser under seeded malformed input, the chain runner's
+# shutdown/abort teardown, and its report: the per-block vectors are moved
+# into ChainReport and Finish/Abort return a reference into the runner, which
+# the persistence and resume suites read across reopened runners. The
+# substrate suites run here too: UBSan checks the unrolled Keccak's rotations
+# and the limb shifts of U256 division, ASan the bounds of the RLP writers the
+# trie encodes nodes with.
 #
 # Selection goes through ctest so gtest_discover_tests stays the single
 # source of truth. An empty selection is a HARD FAILURE — the gate must not
@@ -21,7 +24,7 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR=${BUILD_DIR:-build-asan}
 # Parameterized suites carry their instantiation prefix ("Seeds/MptPropertyTest...").
-ASAN_REGEX=${ASAN_REGEX:-'^(Seeds/)?(BoundedQueueTest|SnapshotRegistryTest|QueryEngineTest|QueryInertnessTest|ChainRunnerTest|ChainShutdownTest|KvStoreTest|KvConcurrencyTest|KvCompactionTest|ShardedMpt|IncrementalStateTrieTest|WorldStateTest|StateViewTest|CodeCacheTest|CodeCacheDifferentialTest|HttpServerTest|FlightRecorderTest|WatchdogTest|OpsPlaneTest|KeccakTest|U256Test|U256PropertyTest|RlpTest|MptTest|MptPropertyTest|MptDeleteTest|MptApplyDiffPropertyTest|MptHarvestTest)'}
+ASAN_REGEX=${ASAN_REGEX:-'^(Seeds/)?(BoundedQueueTest|SnapshotRegistryTest|QueryEngineTest|QueryInertnessTest|ChainRunnerTest|ChainShutdownTest|ChainPersistenceTest|ChainResumeTest|KvStoreTest|KvConcurrencyTest|KvCompactionTest|ShardedMpt|IncrementalStateTrieTest|WorldStateTest|StateViewTest|CodeCacheTest|CodeCacheDifferentialTest|HttpServerTest|FlightRecorderTest|WatchdogTest|OpsPlaneTest|KeccakTest|U256Test|U256PropertyTest|RlpTest|MptTest|MptPropertyTest|MptDeleteTest|MptApplyDiffPropertyTest|MptHarvestTest)'}
 
 # Intentional process-lifetime singletons (the telemetry registry, memoized
 # test fixtures) are leaked by design; leak checking would only report those.
@@ -30,7 +33,7 @@ export ASAN_OPTIONS=${ASAN_OPTIONS:-detect_leaks=0}
 cmake -B "$BUILD_DIR" -S . -DPEVM_SANITIZE=address,undefined -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target bounded_queue_test query_test chain_test kv_test trie_test state_test \
-           codecache_test ops_test support_test
+           codecache_test ops_test support_test recovery_test
 
 cd "$BUILD_DIR"
 selected=$(ctest -N -R "$ASAN_REGEX" | sed -n 's/^Total Tests: //p')

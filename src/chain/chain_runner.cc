@@ -55,6 +55,12 @@ namespace {
   std::abort();
 }
 
+// Wall time from a hand-off instant to now (0 if the clock reads earlier).
+uint64_t NsSince(uint64_t instant_ns) {
+  const uint64_t now = telemetry::NowNs();
+  return now > instant_ns ? now - instant_ns : 0;
+}
+
 }  // namespace
 
 ChainRunner::ChainRunner(const ChainOptions& options, const WorldState& genesis)
@@ -95,13 +101,7 @@ ChainRunner::ChainRunner(const ChainOptions& options, const WorldState& genesis)
       break;
     }
   }
-  genesis_durability_ = trie_->genesis_stats();
-  if (options_.kv_backed_sim_store) {
-    if (!kv_store_) {
-      FatalChain("kv_backed_sim_store requires persist == kKv", options_.kv_dir);
-    }
-    options_.exec.storage.backing = kv_store_.get();
-  }
+  genesis_seal_ = trie_->genesis_stats();
   executor_ = MakeExecutor(options_.executor, options_.exec);
   store_ = executor_->chain_store();
   seed_root_ = trie_->Root();
@@ -129,11 +129,11 @@ ChainRunner::ChainRunner(const ChainOptions& options, const WorldState& genesis)
     // several blocks past the commit frontier and nearly every overlay read
     // it takes is stale by its boundary; depth 1 keeps it roughly one block
     // ahead of the executor — full overlap, minimal staleness.
-    specced_ = std::make_unique<BoundedQueue<SpecItem>>(1);
+    specced_ = std::make_unique<BoundedQueue<InFlight>>(1);
   }
-  input_ = std::make_unique<BoundedQueue<Block>>(options_.queue_depth);
-  ready_ = std::make_unique<BoundedQueue<WarmedBlock>>(options_.queue_depth);
-  diffs_ = std::make_unique<BoundedQueue<PendingCommit>>(options_.queue_depth);
+  input_ = std::make_unique<BoundedQueue<InFlight>>(options_.queue_depth);
+  ready_ = std::make_unique<BoundedQueue<InFlight>>(options_.queue_depth);
+  diffs_ = std::make_unique<BoundedQueue<InFlight>>(options_.queue_depth);
   if (options_.ops_server.enabled()) {
     // After the queues exist (the Progress closure reads their depths),
     // before the pipeline threads start — a scrape that lands during Submit
@@ -231,14 +231,16 @@ bool ChainRunner::Submit(Block block) {
   if (finished_.load()) {
     return false;
   }
-  if (!input_->Push(std::move(block))) {
+  InFlight item;
+  item.block = std::move(block);
+  if (!input_->Push(std::move(item))) {
     return false;
   }
   blocks_submitted_.fetch_add(1);
   return true;
 }
 
-ChainReport ChainRunner::Finish() {
+const ChainReport& ChainRunner::Finish() {
   if (finished_.load()) {
     return *report_;
   }
@@ -249,7 +251,7 @@ ChainReport ChainRunner::Finish() {
   return *report_;
 }
 
-ChainReport ChainRunner::Abort() {
+const ChainReport& ChainRunner::Abort() {
   if (finished_.load()) {
     return *report_;
   }
@@ -270,25 +272,32 @@ ChainReport ChainRunner::Abort() {
 void ChainRunner::WarmLoop() {
   PEVM_TRACE_THREAD_NAME("chain-warm");
   WallTimer stage;
-  while (std::optional<Block> block = input_->Pop()) {
+  while (std::optional<InFlight> item = input_->Pop()) {
     warm_in_.fetch_add(1, std::memory_order_relaxed);
     WallTimer busy;
     PEVM_TRACE_COUNTER("chain.input_queue", input_->depth());
+    const Block& block = item->block;
+    // The block's one number, used by every chain.* span, the snapshot
+    // registry and the flight ring: chain-lifetime and 1-based, so a resumed
+    // runner keeps counting where the recovered manifest left off.
+    item->record.block_index = recovered_blocks_ + warm_stats_.blocks + 1;
+    item->record.transactions = block.transactions.size();
     {
-      PEVM_TRACE_SPAN_ARG("chain.warm", "block", warm_stats_.blocks);
-      if (store_ && options_.exec.prefetch_depth > 0 && !block->transactions.empty()) {
+      PEVM_TRACE_SPAN_ARG("chain.warm", "block", item->record.block_index);
+      if (store_ && options_.exec.prefetch_depth > 0 && !block.transactions.empty()) {
         // Whole-block warm-up: depth >= request count means the driver never
         // waits for NotifyStarted, so Drain (join-without-abort) is safe.
-        std::vector<PrefetchRequest> requests = BuildPrefetchRequests(*block);
+        std::vector<PrefetchRequest> requests = BuildPrefetchRequests(block);
         PrefetchEngine engine(*store_, std::move(requests),
-                              static_cast<int>(block->transactions.size()));
+                              static_cast<int>(block.transactions.size()));
         engine.Drain();
       }
     }
-    uint64_t busy_ns = busy.ElapsedNs();
-    warm_stats_.busy_ns += busy_ns;
+    item->record.warm_busy_ns = busy.ElapsedNs();
+    warm_stats_.busy_ns += item->record.warm_busy_ns;
     ++warm_stats_.blocks;
-    bool pushed = ready_->Push(WarmedBlock{std::move(*block), busy_ns, telemetry::NowNs()});
+    item->handoff_ns = telemetry::NowNs();
+    bool pushed = ready_->Push(std::move(*item));
     warm_out_.fetch_add(1, std::memory_order_relaxed);
     if (!pushed) {
       break;  // Aborted downstream.
@@ -300,24 +309,20 @@ void ChainRunner::WarmLoop() {
 
 void ChainRunner::SpecLoop() {
   PEVM_TRACE_THREAD_NAME("chain-spec");
-  static auto& launched_hist = telemetry::GetHistogram("chain.spec_launched_per_block");
   WallTimer stage;
   const bool with_log = executor_->seed_mode() == SpecMode::kWithLog;
-  while (std::optional<WarmedBlock> warmed = ready_->Pop()) {
+  while (std::optional<InFlight> item = ready_->Pop()) {
     spec_in_.fetch_add(1, std::memory_order_relaxed);
+    item->record.ready_wait_ns = NsSince(item->handoff_ns);
     WallTimer busy;
     PEVM_TRACE_COUNTER("chain.ready_queue", ready_->depth());
-    SpecItem item{std::move(warmed->block), std::nullopt};
-    item.warm_busy_ns = warmed->warm_busy_ns;
-    item.warmed_ns = warmed->warmed_ns;
-    const size_t n = item.block.transactions.size();
+    const Block& block = item->block;
+    const size_t n = block.transactions.size();
     if (n > 0) {
       PEVM_TRACE_SPAN_ARG("chain.spec_launch", "txs", n);
-      SpeculativeBlock spec;
-      spec.specs.resize(n);
       // Gate prepass (cheap, serial): hold back transactions predicted to
       // touch fallback-hot keys; their early record would only be dropped.
-      std::vector<PrefetchRequest> requests = BuildPrefetchRequests(item.block);
+      std::vector<PrefetchRequest> requests = BuildPrefetchRequests(block);
       std::vector<char> launch(n, 0);
       for (size_t i = 0; i < n; ++i) {
         std::vector<StateKey> predicted =
@@ -326,10 +331,10 @@ void ChainRunner::SpecLoop() {
                                            StateKey::Nonce(requests[i].from),
                                            StateKey::Balance(requests[i].to)};
         if (gate_.ShouldHold(predicted)) {
-          ++spec.held;
+          ++item->record.spec_held;
         } else {
           launch[i] = 1;
-          ++spec.launched;
+          ++item->record.spec_launched;
         }
       }
       // Early read phase against overlay ∘ frozen base: overlay hits are the
@@ -338,24 +343,21 @@ void ChainRunner::SpecLoop() {
       // then skips. Values are predictions; the boundary validation on the
       // exec thread is what makes reusing them sound.
       SpecOverlayReader reader(overlay_, *spec_base_, store_);
-      auto speculate_one = [&](size_t i) {
+      item->spec.resize(n);
+      spec_pool_->ParallelFor(n, [&](size_t i) {
         if (!launch[i]) {
           return;
         }
         PEVM_TRACE_SPAN_ARG("chain.speculate", "tx", i);
-        item.spec->specs[i] = SpeculateTransaction(reader, item.block.context,
-                                                   item.block.transactions[i], with_log,
-                                                   &SharedCodeCache());
-      };
-      item.spec = std::move(spec);
-      spec_pool_->ParallelFor(n, speculate_one);
-      launched_hist.Observe(item.spec->launched);
+        item->spec[i] = SpeculateTransaction(reader, block.context, block.transactions[i],
+                                             with_log, &SharedCodeCache());
+      });
     }
-    uint64_t busy_ns = busy.ElapsedNs();
-    item.spec_busy_ns = busy_ns;
-    spec_stats_.busy_ns += busy_ns;
+    item->record.spec_busy_ns = busy.ElapsedNs();
+    spec_stats_.busy_ns += item->record.spec_busy_ns;
     ++spec_stats_.blocks;
-    bool pushed = specced_->Push(std::move(item));
+    item->handoff_ns = telemetry::NowNs();
+    bool pushed = specced_->Push(std::move(*item));
     spec_out_.fetch_add(1, std::memory_order_relaxed);
     if (!pushed) {
       break;  // Aborted downstream.
@@ -367,107 +369,65 @@ void ChainRunner::SpecLoop() {
 
 void ChainRunner::ExecLoop() {
   PEVM_TRACE_THREAD_NAME("chain-exec");
-  static auto& exec_hist = telemetry::GetHistogram("chain.exec_block_ns");
-  static auto& repaired_hist = telemetry::GetHistogram("chain.boundary_redo_repaired");
-  static auto& dropped_hist = telemetry::GetHistogram("chain.boundary_dropped");
   WallTimer stage;
   // With speculation the exec stage's input is the spec stage's output;
   // otherwise blocks come straight from the warm stage.
-  auto next = [this]() -> std::optional<SpecItem> {
-    if (spec_enabled_) {
-      return specced_->Pop();
-    }
-    if (std::optional<WarmedBlock> warmed = ready_->Pop()) {
-      SpecItem item{std::move(warmed->block), std::nullopt};
-      item.warm_busy_ns = warmed->warm_busy_ns;
-      item.warmed_ns = warmed->warmed_ns;
-      return item;
-    }
-    return std::nullopt;
-  };
-  while (std::optional<SpecItem> item = next()) {
+  BoundedQueue<InFlight>& input = spec_enabled_ ? *specced_ : *ready_;
+  while (std::optional<InFlight> item = input.Pop()) {
     exec_in_.fetch_add(1, std::memory_order_relaxed);
-    const uint64_t picked_ns = telemetry::NowNs();
+    ops::BlockRecord& record = item->record;
+    record.ready_wait_ns += NsSince(item->handoff_ns);
     WallTimer busy;
-    if (spec_enabled_) {
-      PEVM_TRACE_COUNTER("chain.specced_queue", specced_->depth());
-    } else {
-      PEVM_TRACE_COUNTER("chain.ready_queue", ready_->depth());
-    }
-    Block& block = item->block;
-    BlockReport report;
-    // Flight-recorder anatomy: assembled here on the exec thread from values
-    // the pipeline already computes; reading them into this plain struct is
-    // the ops plane's only touch on the hot path.
-    ops::BlockAnatomy anatomy;
-    anatomy.transactions = block.transactions.size();
-    anatomy.warm_busy_ns = item->warm_busy_ns;
-    anatomy.spec_busy_ns = item->spec_busy_ns;
-    // Hand-off wait: warm push instant to exec pop instant, minus the spec
-    // stage's own busy time (which is work, not waiting).
-    uint64_t since_warm = picked_ns > item->warmed_ns ? picked_ns - item->warmed_ns : 0;
-    anatomy.ready_wait_ns =
-        since_warm > item->spec_busy_ns ? since_warm - item->spec_busy_ns : 0;
+    PEVM_TRACE_COUNTER(spec_enabled_ ? "chain.specced_queue" : "chain.ready_queue",
+                       input.depth());
     // Boundary validation: the previous block's Execute has returned and this
     // thread is the only state_ writer, so state_ is quiescent — exactly the
     // committed post-predecessor state the seeds must be validated against.
     BoundarySeeds seeds;
-    bool have_seeds = false;
+    const bool have_seeds = !item->spec.empty();
     std::vector<StateKey> boundary_dropped;
-    if (item->spec) {
+    if (have_seeds) {
       WallTimer validate;
-      PEVM_TRACE_SPAN_ARG("chain.boundary_validate", "block", exec_stats_.blocks);
-      BoundaryOutcome outcome = ValidateBoundary(std::move(item->spec->specs), state_);
-      ++spec_totals_.blocks_speculated;
-      spec_totals_.txs_launched += item->spec->launched;
-      spec_totals_.txs_held += item->spec->held;
-      spec_totals_.seeds_clean += outcome.clean;
-      spec_totals_.seeds_redo_repaired += outcome.redo_repaired;
-      spec_totals_.seeds_dropped += outcome.dropped;
-      spec_totals_.stale_reads += outcome.stale_keys;
-      spec_totals_.boundary_validate_wall_ns += validate.ElapsedNs();
-      repaired_hist.Observe(outcome.redo_repaired);
-      dropped_hist.Observe(outcome.dropped);
-      anatomy.spec_launched = item->spec->launched;
-      anatomy.spec_held = item->spec->held;
-      anatomy.spec_clean = outcome.clean;
-      anatomy.spec_repaired = outcome.redo_repaired;
-      anatomy.spec_dropped = outcome.dropped;
+      PEVM_TRACE_SPAN_ARG("chain.boundary_validate", "block", record.block_index);
+      BoundaryOutcome outcome = ValidateBoundary(std::move(item->spec), state_);
+      record.spec_clean = outcome.clean;
+      record.spec_repaired = outcome.redo_repaired;
+      record.spec_dropped = outcome.dropped;
+      record.spec_stale_reads = outcome.stale_keys;
+      record.spec_validate_ns = validate.ElapsedNs();
       seeds = std::move(outcome.seeds);
       boundary_dropped = std::move(outcome.dropped_keys);
-      have_seeds = true;
     }
+    BlockReport report;
     {
-      PEVM_TRACE_SPAN_ARG("chain.exec", "block", exec_stats_.blocks);
+      PEVM_TRACE_SPAN_ARG("chain.exec", "block", record.block_index);
       state_.BeginDiff();
-      report = executor_->Execute(block, state_, have_seeds ? &seeds : nullptr);
+      report = executor_->Execute(item->block, state_, have_seeds ? &seeds : nullptr);
     }
     if (spec_enabled_) {
       gate_.Update(report.conflict_keys, boundary_dropped);
     }
-    StateDiff diff = state_.TakeDiff();
-    uint64_t busy_ns = busy.ElapsedNs();
-    exec_stats_.busy_ns += busy_ns;
-    exec_hist.Observe(busy_ns);
+    item->diff = state_.TakeDiff();
+    record.exec_busy_ns = busy.ElapsedNs();
+    exec_stats_.busy_ns += record.exec_busy_ns;
     ++exec_stats_.blocks;
-    anatomy.exec_busy_ns = busy_ns;
-    anatomy.conflicts = report.conflicts;
-    anatomy.redo_success = report.redo_success;
-    anatomy.redo_fail = report.redo_fail;
-    anatomy.full_reexecutions = report.full_reexecutions;
-    anatomy.oplog_entries = report.oplog_entries;
-    anatomy.instructions = report.instructions;
-    anatomy.prefetch_hits = report.prefetch_hits;
-    anatomy.prefetch_misses = report.prefetch_misses;
+    record.conflicts = report.conflicts;
+    record.redo_success = report.redo_success;
+    record.redo_fail = report.redo_fail;
+    record.full_reexecutions = report.full_reexecutions;
+    record.oplog_entries = report.oplog_entries;
+    record.instructions = report.instructions;
+    record.prefetch_hits = report.prefetch_hits;
+    record.prefetch_misses = report.prefetch_misses;
     block_reports_.push_back(std::move(report));
-    PendingCommit pending{std::move(diff), telemetry::NowNs(), std::move(anatomy)};
+    item->handoff_ns = telemetry::NowNs();
     exec_out_.fetch_add(1, std::memory_order_relaxed);
     if (options_.overlap_commit) {
-      if (!diffs_->Push(std::move(pending))) {
+      if (!diffs_->Push(std::move(*item))) {
         break;  // Aborted downstream.
       }
     } else {
-      CommitOne(std::move(pending));
+      CommitOne(std::move(*item));
     }
   }
   if (!options_.overlap_commit) {
@@ -486,9 +446,9 @@ void ChainRunner::ExecLoop() {
 void ChainRunner::CommitLoop() {
   PEVM_TRACE_THREAD_NAME("chain-commit");
   WallTimer stage;
-  while (std::optional<PendingCommit> pending = diffs_->Pop()) {
+  while (std::optional<InFlight> item = diffs_->Pop()) {
     PEVM_TRACE_COUNTER("chain.diff_queue", diffs_->depth());
-    CommitOne(std::move(*pending));
+    CommitOne(std::move(*item));
   }
   // Seal the open batch on drain — Finish AND Abort — so the durable
   // manifest covers exactly the applied prefix roots_ reports.
@@ -498,100 +458,98 @@ void ChainRunner::CommitLoop() {
   commit_stats_.wall_ns = stage.ElapsedNs();
 }
 
-void ChainRunner::CommitOne(PendingCommit pending) {
-  static auto& commit_hist = telemetry::GetHistogram("chain.commit_block_ns");
+void ChainRunner::CommitOne(InFlight item) {
   static auto& apply_serial_hist = telemetry::GetHistogram("chain.commit_apply_serial_ns");
   static auto& apply_parallel_hist = telemetry::GetHistogram("chain.commit_apply_parallel_ns");
   static auto& batch_gauge = telemetry::GetGauge("chain.commit_batch_depth");
   commit_in_.fetch_add(1, std::memory_order_relaxed);
-  const uint64_t commit_start_ns = telemetry::NowNs();
+  ops::BlockRecord& record = item.record;
+  record.commit_wait_ns = NsSince(item.handoff_ns);
   WallTimer busy;
-  PEVM_TRACE_SPAN_ARG("chain.commit", "block", commit_stats_.blocks);
-  trie_->ApplyDiff(pending.diff);
-  Hash256 root = trie_->Root();
-  BlockDurability durability;
-  durability.apply_ns = busy.ElapsedNs();
+  PEVM_TRACE_SPAN_ARG("chain.commit", "block", record.block_index);
+  trie_->ApplyDiff(item.diff);
+  record.root = trie_->Root();
+  record.commit_apply_ns = busy.ElapsedNs();
+  record.diff_entries = item.diff.size();
   apply_serial_hist.Observe(trie_->last_apply().serial_ns);
   apply_parallel_hist.Observe(trie_->last_apply().parallel_ns);
-  roots_.push_back(root);
+  roots_.push_back(record.root);
   if (snapshots_) {
     // Publish AFTER the root is final: acquirers see (block, root, versions)
     // only once the triple is complete. Single publisher by construction —
     // CommitOne runs on exactly one thread (commit or, inline, exec).
-    snapshots_->Publish(recovered_blocks_ + roots_.size(), root, pending.diff);
+    snapshots_->Publish(record.block_index, record.root, item.diff);
+    record.snapshots_retained = snapshots_->retained();
+    record.snapshot_live_pins = snapshots_->live_pins();
   }
-  durability_.push_back(durability);
-  batch_enqueue_ns_.push_back(pending.enqueue_ns);
-  batch_gauge.Set(static_cast<int64_t>(batch_enqueue_ns_.size()));
-  // Finalize and record the anatomy BEFORE a possible FlushBatch: the durable
-  // fields are back-stamped there by block index, so the record must already
-  // be in the ring. queue_to_durable stays 0 until the batch seals.
-  pending.anatomy.block_index = recovered_blocks_ + roots_.size();
-  pending.anatomy.root = root;
-  pending.anatomy.commit_wait_ns =
-      commit_start_ns > pending.enqueue_ns ? commit_start_ns - pending.enqueue_ns : 0;
-  pending.anatomy.commit_apply_ns = durability.apply_ns;
-  pending.anatomy.diff_entries = pending.diff.size();
-  if (snapshots_) {
-    pending.anatomy.snapshots_retained = snapshots_->retained();
-    pending.anatomy.snapshot_live_pins = snapshots_->live_pins();
-  }
-  flight_.Record(pending.anatomy);
+  open_batch_.push_back(std::move(item));
+  batch_gauge.Set(static_cast<int64_t>(open_batch_.size()));
   size_t batch = options_.commit.batch_blocks > 0 ? options_.commit.batch_blocks : 1;
-  if (batch_enqueue_ns_.size() >= batch) {
+  if (open_batch_.size() >= batch) {
     FlushBatch();
   }
-  uint64_t busy_ns = busy.ElapsedNs();
-  commit_stats_.busy_ns += busy_ns;
-  commit_hist.Observe(busy_ns);
+  commit_stats_.busy_ns += busy.ElapsedNs();
   ++commit_stats_.blocks;
   blocks_committed_.fetch_add(1, std::memory_order_relaxed);
   commit_out_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ChainRunner::FlushBatch() {
-  static auto& q2d_hist = telemetry::GetHistogram("chain.block_queue_to_durable_ns");
-  const size_t count = batch_enqueue_ns_.size();
-  if (count == 0) {
+  if (open_batch_.empty()) {
     return;
   }
-  const size_t first_local = roots_.size() - count;
-  uint64_t batch_persist_ns = 0;
+  const size_t count = open_batch_.size();
   if (node_store_ != nullptr) {
-    static auto& persist_hist = telemetry::GetHistogram("chain.commit_persist_ns");
-    // Chain-lifetime block index: a resumed runner keeps counting where the
-    // recovered manifest left off.
+    const size_t first_local = roots_.size() - count;
     WallTimer persist;
     PEVM_TRACE_SPAN_ARG("chain.commit_batch", "blocks", count);
+    // The manifest's root slots are 0-based: slot i holds the root after
+    // chain block i + 1.
     NodeStoreCommitStats stats =
         trie_->CommitBatch(recovered_blocks_ + first_local,
                            std::span<const Hash256>(roots_.data() + first_local, count));
-    uint64_t persist_ns = persist.ElapsedNs();
-    batch_persist_ns = persist_ns;
-    persist_hist.Observe(persist_ns);
     // Seal costs are shared by the whole batch; attribute them to its last
     // block so the report's totals stay exact (a per-block split would be
-    // arbitrary). Per-block latency lives in queue_to_durable_ns below.
-    BlockDurability& last = durability_.back();
-    last.persist_ns += persist_ns;
-    last.sync_ns += stats.sync_ns;
-    last.nodes_written += stats.nodes_written;
-    last.bytes_appended += stats.bytes_appended;
-    last.fsyncs += stats.fsyncs;
+    // arbitrary). Per-block latency is queue_to_durable_ns below.
+    ops::BlockRecord& last = open_batch_.back().record;
+    last.commit_persist_ns = persist.ElapsedNs();
+    last.sync_ns = stats.sync_ns;
+    last.nodes_written = stats.nodes_written;
+    last.bytes_appended = stats.bytes_appended;
+    last.fsyncs = stats.fsyncs;
   }
-  const uint64_t now = telemetry::NowNs();
-  for (size_t i = 0; i < count; ++i) {
-    uint64_t enqueue_ns = batch_enqueue_ns_[i];
-    uint64_t latency = now > enqueue_ns ? now - enqueue_ns : 0;
-    durability_[first_local + i].queue_to_durable_ns = latency;
-    q2d_hist.Observe(latency);
-    // Back-stamp the flight record now that the block is durable. Seal costs
-    // attribute to the batch's last block, mirroring durability_ above.
-    flight_.StampDurability(recovered_blocks_ + first_local + i + 1, latency,
-                            i + 1 == count ? batch_persist_ns : 0, commit_batches_ + 1);
-  }
-  batch_enqueue_ns_.clear();
   ++commit_batches_;
+  // Every member's latency runs from when it left the exec stage to this seal,
+  // so early batch members accrue their real wait for the batch boundary.
+  for (InFlight& item : open_batch_) {
+    item.record.queue_to_durable_ns = NsSince(item.handoff_ns);
+    item.record.commit_batch = commit_batches_;
+    RecordBlock(item.record);
+  }
+  open_batch_.clear();
+}
+
+void ChainRunner::RecordBlock(const ops::BlockRecord& record) {
+  static auto& exec_hist = telemetry::GetHistogram("chain.block.exec_busy_ns");
+  static auto& apply_hist = telemetry::GetHistogram("chain.block.commit_apply_ns");
+  static auto& persist_hist = telemetry::GetHistogram("chain.block.commit_persist_ns");
+  static auto& q2d_hist = telemetry::GetHistogram("chain.block.queue_to_durable_ns");
+  static auto& launched_hist = telemetry::GetHistogram("chain.block.spec_launched");
+  static auto& repaired_hist = telemetry::GetHistogram("chain.block.spec_repaired");
+  static auto& dropped_hist = telemetry::GetHistogram("chain.block.spec_dropped");
+  exec_hist.Observe(record.exec_busy_ns);
+  apply_hist.Observe(record.commit_apply_ns);
+  q2d_hist.Observe(record.queue_to_durable_ns);
+  if (record.commit_persist_ns > 0) {  // Once per seal, on the batch's last block.
+    persist_hist.Observe(record.commit_persist_ns);
+  }
+  if (record.spec_launched + record.spec_held > 0) {  // The spec stage ran on it.
+    launched_hist.Observe(record.spec_launched);
+    repaired_hist.Observe(record.spec_repaired);
+    dropped_hist.Observe(record.spec_dropped);
+  }
+  flight_.Record(record);
+  blocks_.push_back(record);
 }
 
 void ChainRunner::JoinAll() {
@@ -619,7 +577,6 @@ ChainReport ChainRunner::BuildReport(bool aborted) {
   report.spec = spec_stats_;
   report.exec = exec_stats_;
   report.commit = commit_stats_;
-  report.speculation = spec_totals_;
   report.warm.max_queue_depth = input_->max_depth();
   if (spec_enabled_) {
     report.spec.max_queue_depth = ready_->max_depth();
@@ -635,18 +592,29 @@ ChainReport ChainRunner::BuildReport(bool aborted) {
   report.commit_batches = commit_batches_;
   report.wall_ns = run_wall_ns_;
   report.aborted = aborted;
-  report.durability = durability_;
-  report.kv_bytes_appended = genesis_durability_.bytes_appended;
-  report.kv_fsyncs = genesis_durability_.fsyncs;
-  report.kv_sync_ns = genesis_durability_.sync_ns;
-  for (const BlockDurability& d : durability_) {
-    report.kv_bytes_appended += d.bytes_appended;
-    report.kv_fsyncs += d.fsyncs;
-    report.kv_sync_ns += d.sync_ns;
+  report.kv_bytes_appended = genesis_seal_.bytes_appended;
+  report.kv_fsyncs = genesis_seal_.fsyncs;
+  report.kv_sync_ns = genesis_seal_.sync_ns;
+  SpecStats& spec = report.speculation;
+  for (const ops::BlockRecord& r : blocks_) {
+    report.kv_bytes_appended += r.bytes_appended;
+    report.kv_fsyncs += r.fsyncs;
+    report.kv_sync_ns += r.sync_ns;
+    spec.blocks_speculated += r.spec_launched + r.spec_held > 0 ? 1 : 0;
+    spec.txs_launched += r.spec_launched;
+    spec.txs_held += r.spec_held;
+    spec.seeds_clean += r.spec_clean;
+    spec.seeds_redo_repaired += r.spec_repaired;
+    spec.seeds_dropped += r.spec_dropped;
+    spec.stale_reads += r.spec_stale_reads;
+    spec.boundary_validate_wall_ns += r.spec_validate_ns;
   }
-  report.roots = roots_;
   report.final_root = roots_.empty() ? seed_root_ : roots_.back();
-  report.block_reports = block_reports_;
+  // The pipeline is joined: the per-block vectors move into the report
+  // rather than being copied.
+  report.blocks = std::move(blocks_);
+  report.roots = std::move(roots_);
+  report.block_reports = std::move(block_reports_);
   if (snapshots_) {
     report.query_snapshots = snapshots_->stats();
   }

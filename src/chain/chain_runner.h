@@ -89,10 +89,6 @@ struct ChainOptions {
   PersistMode persist = PersistMode::kNone;
   std::string kv_dir;  // Store directory; required when persist == kKv.
   KvOptions kv;        // fsync / segment-size / compaction knobs.
-  // Route the executor SimStore's cold reads through the KV store's flat
-  // state records (real preads against the same file the committer writes)
-  // instead of the simulated cold latency. Requires persist == kKv.
-  bool kv_backed_sim_store = false;
   // Commit-stage knobs: shard-parallel re-rooting width and how many blocks
   // fold into one durable seal (see CommitOptions). Batching trades commit
   // durability lag for amortized fsyncs/WriteBatches; roots stay per-block
@@ -153,31 +149,13 @@ struct StageStats {
   }
 };
 
-// What making one block durable cost (all-zero under PersistMode::kNone;
-// bytes but no fsyncs under kInMemory). persist_ns ⊂ the commit stage's
-// busy_ns; sync_ns ⊂ persist_ns.
-struct BlockDurability {
-  uint64_t apply_ns = 0;    // Diff replay + incremental re-root.
-  uint64_t persist_ns = 0;  // Dirty-node harvest + store commit (incl. sync).
-  uint64_t sync_ns = 0;     // Inside fdatasync.
-  uint64_t nodes_written = 0;
-  uint64_t bytes_appended = 0;  // Framed log bytes, commit marker included.
-  uint64_t fsyncs = 0;
-  // Honest per-block latency under batching: from the block's diff entering
-  // the commit stage (or, inline, commit start) to its batch's seal
-  // returning. With batch_blocks > 1, seal costs above land on the batch's
-  // last block, but THIS field is still per-block — early batch members
-  // accrue their real wait for the batch boundary.
-  uint64_t queue_to_durable_ns = 0;
-};
-
-// Cross-block speculation outcome totals. Everything here is wall-clock
-// class: which transactions launch early (vs are held or arrive after the
-// boundary) depends on thread timing, so these counters may vary run to run
-// — unlike the deterministic BlockReport fields, which speculation cannot
-// change at all.
+// Cross-block speculation outcome totals, summed over ChainReport::blocks.
+// Everything here is wall-clock class: which transactions launch early (vs
+// are held or arrive after the boundary) depends on thread timing, so these
+// counters may vary run to run — unlike the deterministic BlockReport fields,
+// which speculation cannot change at all.
 struct SpecStats {
-  uint64_t blocks_speculated = 0;  // Blocks that went through the spec stage.
+  uint64_t blocks_speculated = 0;  // Blocks with any transaction launched or held.
   uint64_t txs_launched = 0;       // Speculated against the overlay.
   uint64_t txs_held = 0;           // Kept back by the hot-key gate.
   uint64_t seeds_clean = 0;        // Reused verbatim at the boundary.
@@ -206,9 +184,10 @@ struct ChainReport {
   uint64_t wall_ns = 0;           // First Submit to pipeline join.
   bool aborted = false;
 
-  // Per committed block (this run only, index-aligned with roots), plus the
-  // run's totals including the genesis seal.
-  std::vector<BlockDurability> durability;
+  // One final record per committed block (this run only, index-aligned with
+  // roots), plus the run's durability totals: the genesis seal plus the sum
+  // over blocks.
+  std::vector<ops::BlockRecord> blocks;
   uint64_t kv_bytes_appended = 0;
   uint64_t kv_fsyncs = 0;
   uint64_t kv_sync_ns = 0;
@@ -245,13 +224,14 @@ class ChainRunner {
   bool Submit(Block block);
 
   // Closes the stream, drains every stage, joins the pipeline and returns the
-  // final report. Idempotent (subsequent calls return the same report).
-  ChainReport Finish();
+  // final report, which lives as long as the runner. Idempotent (subsequent
+  // calls return the same report).
+  const ChainReport& Finish();
 
   // Drops every queued block/diff, lets in-flight stage work finish, joins
   // and reports. The committed prefix stays consistent: roots holds exactly
   // the blocks whose diffs were fully applied, in block order.
-  ChainReport Abort();
+  const ChainReport& Abort();
 
   // The chain's committed state (stable only after Finish/Abort).
   const WorldState& state() const { return state_; }
@@ -284,33 +264,18 @@ class ChainRunner {
   ops::PipelineProgress Progress() const;
 
  private:
-  // What the warm stage hands downstream: the block plus the anatomy scalars
-  // only the warm stage knows (its busy time and the hand-off instant the
-  // ready-queue wait is measured from).
-  struct WarmedBlock {
+  // One block in flight, the item on every queue: Submit wraps the block,
+  // each stage fills in its own part of the record, and FlushBatch finalizes
+  // the record when the block's batch seals.
+  struct InFlight {
     Block block;
-    uint64_t warm_busy_ns = 0;
-    uint64_t warmed_ns = 0;  // telemetry::NowNs() at hand-off.
-  };
-
-  // A block's diff plus the monotonic instant it left the exec stage — the
-  // anchor for the honest enqueue→durable latency under batching — and the
-  // anatomy assembled so far (stage 3 finalizes and records it).
-  struct PendingCommit {
-    StateDiff diff;
-    uint64_t enqueue_ns = 0;
-    ops::BlockAnatomy anatomy;
-  };
-
-  // What the speculation stage hands the exec stage: the block plus (when the
-  // stage ran on it) its overlay speculation records awaiting boundary
-  // validation, carrying the upstream anatomy scalars through.
-  struct SpecItem {
-    Block block;
-    std::optional<SpeculativeBlock> spec;
-    uint64_t warm_busy_ns = 0;
-    uint64_t warmed_ns = 0;
-    uint64_t spec_busy_ns = 0;
+    // The spec stage's overlay records awaiting boundary validation, one per
+    // transaction (disengaged where the hot-key gate held it back, so it
+    // speculates in-block as usual); empty when the stage did not run.
+    std::vector<std::optional<Speculation>> spec;
+    StateDiff diff;           // Filled by the exec stage.
+    uint64_t handoff_ns = 0;  // telemetry::NowNs() when it left its last stage.
+    ops::BlockRecord record;
   };
 
   // Launch/hold filter for the speculation stage: a transaction predicted to
@@ -362,19 +327,19 @@ class ChainRunner {
   void SpecLoop();
   void ExecLoop();
   void CommitLoop();
-  void CommitOne(PendingCommit pending);
-  // Seals every applied-but-unsealed block as one NodeStore batch and stamps
-  // each one's queue_to_durable_ns. No-op on an empty batch; called at the
-  // batch boundary and on commit-stage drain (Finish AND Abort, so the
-  // durable manifest never lags the applied prefix in-process).
+  void CommitOne(InFlight item);
+  // Seals every applied-but-unsealed block as one NodeStore batch, finalizes
+  // each one's record and hands it on (RecordBlock). No-op on an empty batch;
+  // called at the batch boundary and on commit-stage drain (Finish AND Abort,
+  // so the durable manifest never lags the applied prefix in-process).
   void FlushBatch();
+  // The one place a final record goes out: ChainReport::blocks, the flight
+  // ring and the chain.block.* histograms.
+  void RecordBlock(const ops::BlockRecord& record);
   void JoinAll();
   ChainReport BuildReport(bool aborted);
 
   ChainOptions options_;
-  // Durability stack. kv_store_ precedes executor_ deliberately: the
-  // executor's SimStore may hold a backing pointer into it, so the store must
-  // be destroyed last.
   std::unique_ptr<KvStore> kv_store_;
   std::unique_ptr<NodeStore> node_store_;
   std::unique_ptr<Executor> executor_;
@@ -385,7 +350,7 @@ class ChainRunner {
   std::optional<IncrementalStateTrie> trie_;
   Hash256 seed_root_{};
   uint64_t recovered_blocks_ = 0;
-  NodeStoreCommitStats genesis_durability_;
+  NodeStoreCommitStats genesis_seal_;
 
   // Root-pinned snapshot registry for the read-only query tier (null unless
   // options_.query_tier). Created in the constructor — after recovery fixes
@@ -394,10 +359,10 @@ class ChainRunner {
   // registry's single-publisher contract holds either way.
   std::unique_ptr<SnapshotRegistry> snapshots_;
 
-  std::unique_ptr<BoundedQueue<Block>> input_;         // Submit -> warm.
-  std::unique_ptr<BoundedQueue<WarmedBlock>> ready_;   // warm -> spec/exec.
-  std::unique_ptr<BoundedQueue<SpecItem>> specced_;    // spec -> exec (speculate only).
-  std::unique_ptr<BoundedQueue<PendingCommit>> diffs_; // exec -> commit.
+  std::unique_ptr<BoundedQueue<InFlight>> input_;    // Submit -> warm.
+  std::unique_ptr<BoundedQueue<InFlight>> ready_;    // warm -> spec/exec.
+  std::unique_ptr<BoundedQueue<InFlight>> specced_;  // spec -> exec (speculate only).
+  std::unique_ptr<BoundedQueue<InFlight>> diffs_;    // exec -> commit.
 
   // Cross-block speculation plumbing, engaged only when spec_enabled_.
   // overlay_ observes every state_ write; spec_base_ is the frozen committed
@@ -416,23 +381,19 @@ class ChainRunner {
   std::thread commit_thread_;  // Only started when overlap_commit.
 
   // Each stage's stats are written by that stage's thread only and read after
-  // the join; roots_/block_reports_ likewise. spec_totals_ is exec-thread
-  // state: launched/held counts travel inside the SpecItem, boundary outcomes
-  // are produced on the exec thread.
+  // the join; roots_/block_reports_/blocks_ likewise. open_batch_ holds the
+  // applied-but-unsealed blocks, oldest first: always the tail of roots_.
   StageStats warm_stats_;
   StageStats spec_stats_;
   StageStats exec_stats_;
   StageStats commit_stats_;
-  SpecStats spec_totals_;
   std::vector<Hash256> roots_;
   std::vector<BlockReport> block_reports_;
-  std::vector<BlockDurability> durability_;
-  // Enqueue instants of applied-but-unsealed blocks (the open batch); always
-  // the tail of roots_/durability_. Committer-thread-only state.
-  std::vector<uint64_t> batch_enqueue_ns_;
+  std::vector<InFlight> open_batch_;
+  std::vector<ops::BlockRecord> blocks_;
   uint64_t commit_batches_ = 0;
 
-  // Ops plane. flight_ is always on (its Record sits on the commit path but
+  // Ops plane. flight_ is always on (its Record sits on the seal path but
   // is one struct copy under an uncontended mutex); progress counters are
   // relaxed atomics bumped at stage entry/exit so the watchdog and /healthz
   // can sample without touching any pipeline lock. ops_ is declared after

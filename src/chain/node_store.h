@@ -56,7 +56,7 @@ class NodeStore {
   virtual void PutNode(const Hash256& hash, BytesView encoding) = 0;
   virtual std::optional<Bytes> GetNode(const Hash256& hash) = 0;
 
-  // Flat-state mirror (what recovery and the SimStore backing read).
+  // Flat-state mirror (what recovery reads).
   virtual void PutAccount(const Address& address, const U256& balance, uint64_t nonce) = 0;
   // A zero value deletes the slot record (absent = zero, as in state).
   virtual void PutStorage(const Address& address, const U256& slot, const U256& value) = 0;

@@ -32,16 +32,6 @@
 
 namespace pevm {
 
-// A block's cross-block speculation records, produced by the chain's
-// speculation stage against the predecessor overlay. Disengaged entries were
-// held back by the hot-key gate (predicted to conflict) and speculate
-// in-block as usual.
-struct SpeculativeBlock {
-  std::vector<std::optional<Speculation>> specs;
-  uint64_t launched = 0;  // Transactions speculated against the overlay.
-  uint64_t held = 0;      // Transactions the hot-key gate kept back.
-};
-
 struct BoundaryOutcome {
   BoundarySeeds seeds;
   uint64_t validated = 0;      // Engaged records inspected.

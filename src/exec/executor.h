@@ -225,7 +225,7 @@ class StateCache {
 // one block predicts the next.
 inline SimStore* EnsureSimStore(const ExecOptions& options, std::unique_ptr<SimStore>& slot) {
   if (options.prefetch_depth <= 0 && options.storage.cold_read_ns == 0 &&
-      options.storage.warm_read_ns == 0 && options.storage.backing == nullptr) {
+      options.storage.warm_read_ns == 0) {
     return nullptr;
   }
   if (!slot) {

@@ -1,6 +1,5 @@
 // KvStore: a durable embedded key-value store in the bitcask/WAL family,
-// built for the chain runner's committer stage (src/chain) and the simulated
-// storage front-end's real-I/O backing (src/state/sim_store.h).
+// built for the chain runner's committer stage (src/chain).
 //
 // Shape:
 //   - Append-only segment files ("000001.seg", ...) of CRC-framed records

@@ -10,32 +10,19 @@ FlightRecorder::FlightRecorder(size_t capacity) : capacity_(capacity < 1 ? 1 : c
   ring_.reserve(capacity_);
 }
 
-void FlightRecorder::Record(const BlockAnatomy& anatomy) {
+void FlightRecorder::Record(const BlockRecord& record) {
   std::lock_guard<std::mutex> lock(mu_);
   if (ring_.size() < capacity_) {
-    ring_.push_back(anatomy);
+    ring_.push_back(record);
   } else {
-    ring_[total_ % capacity_] = anatomy;
+    ring_[total_ % capacity_] = record;
   }
   ++total_;
 }
 
-void FlightRecorder::StampDurability(uint64_t block_index, uint64_t queue_to_durable_ns,
-                                     uint64_t persist_ns, uint64_t commit_batch) {
+std::vector<BlockRecord> FlightRecorder::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  for (BlockAnatomy& anatomy : ring_) {
-    if (anatomy.block_index == block_index) {
-      anatomy.queue_to_durable_ns = queue_to_durable_ns;
-      anatomy.commit_persist_ns += persist_ns;
-      anatomy.commit_batch = commit_batch;
-      return;
-    }
-  }
-}
-
-std::vector<BlockAnatomy> FlightRecorder::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<BlockAnatomy> out;
+  std::vector<BlockRecord> out;
   out.reserve(ring_.size());
   if (total_ <= capacity_) {
     out = ring_;
@@ -54,9 +41,9 @@ uint64_t FlightRecorder::total_recorded() const {
 }
 
 std::string FlightRecorderJson(const FlightRecorder& recorder) {
-  std::vector<BlockAnatomy> records = recorder.Snapshot();
+  std::vector<BlockRecord> records = recorder.Snapshot();
   std::string out;
-  out.reserve(records.size() * 640 + 128);
+  out.reserve(records.size() * 800 + 128);
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "{\"capacity\": %zu, \"total_recorded\": %llu, \"blocks\": [",
@@ -69,7 +56,7 @@ std::string FlightRecorderJson(const FlightRecorder& recorder) {
     out += buf;
   };
   for (size_t i = 0; i < records.size(); ++i) {
-    const BlockAnatomy& a = records[i];
+    const BlockRecord& a = records[i];
     out += i == 0 ? "\n{" : ",\n{";
     field("block", a.block_index);
     field("transactions", a.transactions);
@@ -82,8 +69,13 @@ std::string FlightRecorderJson(const FlightRecorder& recorder) {
     field("ready_wait_ns", a.ready_wait_ns);
     field("commit_wait_ns", a.commit_wait_ns);
     field("commit_apply_ns", a.commit_apply_ns);
-    field("commit_persist_ns", a.commit_persist_ns);
     field("queue_to_durable_ns", a.queue_to_durable_ns);
+    field("commit_persist_ns", a.commit_persist_ns);
+    field("sync_ns", a.sync_ns);
+    field("nodes_written", a.nodes_written);
+    field("bytes_appended", a.bytes_appended);
+    field("fsyncs", a.fsyncs);
+    field("commit_batch", a.commit_batch);
     field("conflicts", static_cast<uint64_t>(a.conflicts));
     field("redo_success", static_cast<uint64_t>(a.redo_success));
     field("redo_fail", static_cast<uint64_t>(a.redo_fail));
@@ -97,7 +89,8 @@ std::string FlightRecorderJson(const FlightRecorder& recorder) {
     field("spec_clean", a.spec_clean);
     field("spec_repaired", a.spec_repaired);
     field("spec_dropped", a.spec_dropped);
-    field("commit_batch", a.commit_batch);
+    field("spec_stale_reads", a.spec_stale_reads);
+    field("spec_validate_ns", a.spec_validate_ns);
     field("diff_entries", a.diff_entries);
     field("snapshots_retained", a.snapshots_retained);
     field("snapshot_live_pins", a.snapshot_live_pins, /*last=*/true);

@@ -1,11 +1,13 @@
-// Always-on per-block flight recorder: a fixed-size ring of BlockAnatomy
-// records — where each committed block's wall time went (stage busy vs queue
-// wait), what its conflict/redo/speculation outcome was, and what committing
-// it cost — assembled by the pipeline from numbers it already computes for
-// StageStats / BlockDurability / BlockReport. The last N blocks are always
-// available for /debug/blocks and for the stall watchdog's diagnosis, with no
-// opt-in flag: the per-block cost is one struct copy under a mutex nobody on
-// the hot path contends (the ring's only other readers are ops scrapes).
+// Always-on per-block flight recorder: a fixed-size ring of BlockRecords —
+// where each committed block's wall time went (stage busy vs queue wait), what
+// its conflict/redo/speculation outcome was, and what committing and sealing
+// it cost. The chain runner fills one record per block as the block moves
+// through its stages and hands it here once, final, when the block's batch
+// seals; the same record goes to ChainReport::blocks and the per-block
+// histograms on /metrics. The last N blocks are always available for
+// /debug/blocks and for the stall watchdog's diagnosis, with no opt-in flag:
+// the per-block cost is one struct copy under a mutex nobody on the hot path
+// contends (the ring's only other readers are ops scrapes).
 //
 // Inertness (DESIGN.md §4.8): every field is copied *out* of pipeline state
 // after the fact; nothing reads the ring back into execution. The deterministic
@@ -25,24 +27,34 @@
 
 namespace pevm::ops {
 
-// One committed block's anatomy. Fields marked [det] are deterministic
+// One committed block's record. Fields marked [det] are deterministic
 // (bit-identical run to run for the same stream); everything else is
-// wall-clock class and may vary with scheduling.
-struct BlockAnatomy {
-  // Identity.
-  uint64_t block_index = 0;  // [det] Chain-lifetime index (resume-aware).
+// wall-clock class and may vary with scheduling. Field names are the
+// /debug/blocks keys (block_index is "block").
+struct BlockRecord {
+  // Identity, numbered once by the warm stage.
+  uint64_t block_index = 0;   // [det] Chain-lifetime, 1-based (resume-aware).
   uint64_t transactions = 0;  // [det]
   Hash256 root{};             // [det]
 
   // Stage busy / queue-wait split, in nanoseconds.
   uint64_t warm_busy_ns = 0;
-  uint64_t spec_busy_ns = 0;        // 0 when the speculation stage is off.
-  uint64_t exec_busy_ns = 0;        // Boundary validation + Execute.
-  uint64_t ready_wait_ns = 0;       // Left warm stage → picked up downstream.
-  uint64_t commit_wait_ns = 0;      // Left exec stage → committer picked it up.
-  uint64_t commit_apply_ns = 0;     // Diff replay + incremental re-root.
-  uint64_t commit_persist_ns = 0;   // Batch seal share (lands on batch-last).
-  uint64_t queue_to_durable_ns = 0; // Honest per-block durability lag.
+  uint64_t spec_busy_ns = 0;         // 0 when the speculation stage is off.
+  uint64_t exec_busy_ns = 0;         // Boundary validation + Execute.
+  uint64_t ready_wait_ns = 0;        // Queued between the warm and exec stages.
+  uint64_t commit_wait_ns = 0;       // Left exec stage → committer picked it up.
+  uint64_t commit_apply_ns = 0;      // Diff replay + incremental re-root.
+  uint64_t queue_to_durable_ns = 0;  // Left exec stage → its batch's seal returned.
+
+  // Durable seal (all zero under PersistMode::kNone; bytes but no fsyncs
+  // under kInMemory). A seal's costs are shared by its whole batch and land
+  // on the batch's last block; sync_ns ⊂ commit_persist_ns.
+  uint64_t commit_persist_ns = 0;  // Dirty-node harvest + store commit (incl. sync).
+  uint64_t sync_ns = 0;            // Inside fdatasync.
+  uint64_t nodes_written = 0;
+  uint64_t bytes_appended = 0;  // Framed log bytes, commit marker included.
+  uint64_t fsyncs = 0;
+  uint64_t commit_batch = 0;  // 1-based ordinal of this run's seal the block landed in.
 
   // Execution outcome, copied from the block's BlockReport. [det]
   int conflicts = 0;
@@ -61,12 +73,15 @@ struct BlockAnatomy {
   uint64_t spec_clean = 0;
   uint64_t spec_repaired = 0;
   uint64_t spec_dropped = 0;
+  uint64_t spec_stale_reads = 0;  // Stale read-set entries at the boundary.
+  uint64_t spec_validate_ns = 0;  // Boundary validation wall time.
 
-  // Commit-batch + snapshot-registry state when the block committed.
-  uint64_t commit_batch = 0;        // Seal ordinal the block landed in (1-based; 0 = still open).
+  // Diff size and snapshot-registry state when the block committed.
   uint64_t diff_entries = 0;        // [det] Ordered-journal entries applied.
   uint64_t snapshots_retained = 0;  // Registry occupancy after publish (0 = tier off).
   uint64_t snapshot_live_pins = 0;  // Outstanding query handles at publish.
+
+  friend bool operator==(const BlockRecord&, const BlockRecord&) = default;
 };
 
 class FlightRecorder {
@@ -74,17 +89,11 @@ class FlightRecorder {
   // `capacity` blocks are retained; older records are overwritten.
   explicit FlightRecorder(size_t capacity = 256);
 
-  // Called by the commit path once per block, after the root is final.
-  void Record(const BlockAnatomy& anatomy);
-
-  // Batch-seal follow-up: stamps durability fields onto the ring entry for
-  // `block_index` if it is still resident (under heavy wraparound an early
-  // batch member may already be gone — stamping is best-effort by design).
-  void StampDurability(uint64_t block_index, uint64_t queue_to_durable_ns,
-                       uint64_t persist_ns, uint64_t commit_batch);
+  // Called by the commit path once per block, when its batch has sealed.
+  void Record(const BlockRecord& record);
 
   // Resident records, oldest first.
-  std::vector<BlockAnatomy> Snapshot() const;
+  std::vector<BlockRecord> Snapshot() const;
 
   uint64_t total_recorded() const;
   size_t capacity() const { return capacity_; }
@@ -92,8 +101,8 @@ class FlightRecorder {
  private:
   const size_t capacity_;
   mutable std::mutex mu_;
-  std::vector<BlockAnatomy> ring_;  // Slot = total index % capacity.
-  uint64_t total_ = 0;              // Records ever written.
+  std::vector<BlockRecord> ring_;  // Slot = total index % capacity.
+  uint64_t total_ = 0;             // Records ever written.
 };
 
 // JSON array of the recorder's resident records, oldest first — the

@@ -17,7 +17,7 @@
 //                       submitted/committed, per-stage progress counters and
 //                       queue depths, snapshot-registry and query-engine
 //                       stats when attached.
-//   GET  /debug/blocks— flight-recorder dump (per-block anatomy, JSON).
+//   GET  /debug/blocks— flight-recorder dump (per-block records, JSON).
 //   POST /debug/trace — export the live trace rings as Chrome JSON; body =
 //                       target path (default ops_trace.json).
 #ifndef SRC_OPS_OPS_SERVER_H_

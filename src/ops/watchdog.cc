@@ -61,7 +61,7 @@ std::string StallDiagnosis::Render() const {
   if (!recent_blocks.empty()) {
     std::snprintf(buf, sizeof(buf), "  last %zu committed blocks:\n", recent_blocks.size());
     out += buf;
-    for (const BlockAnatomy& a : recent_blocks) {
+    for (const BlockRecord& a : recent_blocks) {
       std::snprintf(buf, sizeof(buf),
                     "    block %-5llu txs=%-4llu exec=%llu us commit=%llu us "
                     "conflicts=%d redo=%d\n",
@@ -175,7 +175,7 @@ void StallWatchdog::Fire(const PipelineProgress& progress, uint64_t stalled_for_
   diagnosis.stalled_for_ms = stalled_for_ms;
   diagnosis.progress = progress;
   if (recorder_ != nullptr) {
-    std::vector<BlockAnatomy> blocks = recorder_->Snapshot();
+    std::vector<BlockRecord> blocks = recorder_->Snapshot();
     const size_t tail = blocks.size() > 8 ? blocks.size() - 8 : 0;
     diagnosis.recent_blocks.assign(blocks.begin() + static_cast<ptrdiff_t>(tail),
                                    blocks.end());

@@ -66,8 +66,8 @@ struct PipelineProgress {
 struct StallDiagnosis {
   std::string stage;  // The wedged stage's name ("exec", "commit", ...).
   uint64_t stalled_for_ms = 0;
-  PipelineProgress progress;                // The sample that fired.
-  std::vector<BlockAnatomy> recent_blocks;  // Tail of the flight recorder.
+  PipelineProgress progress;               // The sample that fired.
+  std::vector<BlockRecord> recent_blocks;  // Tail of the flight recorder.
 
   // Human-readable multi-line rendering (what log_to_stderr prints).
   std::string Render() const;
@@ -91,7 +91,7 @@ class StallWatchdog {
  public:
   // `source` is sampled every poll_ms; it must stay callable until Stop()
   // returns (the ChainRunner stops its watchdog before tearing queues down).
-  // `recorder` may be null (diagnoses then carry no block anatomy).
+  // `recorder` may be null (diagnoses then carry no block records).
   StallWatchdog(std::function<PipelineProgress()> source, const FlightRecorder* recorder,
                 const WatchdogOptions& options);
   ~StallWatchdog();

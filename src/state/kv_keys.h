@@ -1,9 +1,7 @@
-// The KV keyspace shared by the chain runner's durable committer
-// (src/chain/node_store.h) and the simulated storage front-end's real-I/O
-// backing (src/state/sim_store.h). Both layers must agree on these encodings:
-// the committer writes the flat-state mirror as it commits blocks, and the
-// SimStore cold-read path reads the *same* keys, so "cold read" means a real
-// pread against the same file a real node would hit.
+// The KV keyspace of the chain runner's durable committer
+// (src/chain/node_store.h): the committer writes the trie-node archive, the
+// flat-state mirror and the manifest under these keys as it seals blocks, and
+// recovery (RecoverChain) reads them back.
 //
 // Keyspaces (first byte tags the record family):
 //   'n' + 32-byte node hash              -> RLP node encoding (trie archive)
@@ -19,7 +17,6 @@
 #include <string>
 #include <string_view>
 
-#include "src/state/state_key.h"
 #include "src/support/bytes.h"
 #include "src/support/keccak.h"
 #include "src/support/u256.h"
@@ -67,20 +64,6 @@ inline std::string RootKey(uint64_t block_index) {
     key.push_back(static_cast<char>(static_cast<uint8_t>(block_index >> (8 * i))));
   }
   return key;
-}
-
-// The flat-state key an executing transaction's committed read maps to:
-// balance and nonce both live in the account record, storage in its slot
-// record. This is what the SimStore backing Gets on a cold miss.
-inline std::string FlatStateKey(const StateKey& key) {
-  switch (key.kind) {
-    case StateKeyKind::kBalance:
-    case StateKeyKind::kNonce:
-      return AccountKey(key.address);
-    case StateKeyKind::kStorage:
-      return StorageKey(key.address, key.slot);
-  }
-  return AccountKey(key.address);
 }
 
 inline Bytes EncodeU64Be(uint64_t v) {

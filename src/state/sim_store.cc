@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "src/kv/kv_store.h"
-#include "src/state/kv_keys.h"
 #include "src/telemetry/trace.h"
 
 namespace pevm {
@@ -41,16 +39,6 @@ void SimStore::BeginBlock() {
   }
 }
 
-// One real backing read: the committed flat-state record a cold miss would
-// fetch from disk on a real node. The value is discarded — SimStoreReader
-// still serves from the committed WorldState — so this is purely a wall-clock
-// cost, like the injected latencies it replaces (absent keys cost a real
-// index miss, which is also honest).
-void SimStore::BackingRead(const StateKey& key) {
-  config_.backing->Get(kvkeys::FlatStateKey(key));
-  backing_reads_.fetch_add(1, std::memory_order_relaxed);
-}
-
 bool SimStore::Touch(const StateKey& key) {
   bool was_resident;
   {
@@ -64,11 +52,7 @@ bool SimStore::Touch(const StateKey& key) {
   } else {
     PEVM_TRACE_SPAN("sim.cold_read");
     cold_touches_.fetch_add(1, std::memory_order_relaxed);
-    if (config_.backing != nullptr) {
-      BackingRead(key);
-    } else {
-      InjectLatency(config_.cold_read_ns);
-    }
+    InjectLatency(config_.cold_read_ns);
   }
   return was_resident;
 }
@@ -78,13 +62,7 @@ void SimStore::WarmBatch(std::span<const StateKey> keys) {
     return;
   }
   PEVM_TRACE_SPAN_ARG("sim.warm_batch", "keys", keys.size());
-  if (config_.backing != nullptr) {
-    for (const StateKey& key : keys) {
-      BackingRead(key);
-    }
-  } else {
-    InjectLatency(config_.batch_base_ns + config_.batch_key_ns * keys.size());
-  }
+  InjectLatency(config_.batch_base_ns + config_.batch_key_ns * keys.size());
   for (const StateKey& key : keys) {
     Shard& shard = ShardFor(key);
     std::lock_guard<std::mutex> lock(shard.mu);

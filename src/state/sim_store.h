@@ -37,8 +37,6 @@
 
 namespace pevm {
 
-class KvStore;  // src/kv/kv_store.h; held by pointer only.
-
 struct SimStoreConfig {
   // Wall-clock latency of a point read that misses the resident set (a
   // LevelDB-backed MPT node walk) and of one that hits it. Both default to 0:
@@ -63,16 +61,6 @@ struct SimStoreConfig {
   // concurrent PredictSet, so eviction order (and therefore every prefetch
   // counter) is independent of OS thread timing.
   size_t max_hint_entries = 4096;
-  // Real-I/O backing (the chain runner's embedded KV store): when set, cold
-  // reads and warm-up batches issue real KvStore::Get calls against the
-  // committed flat-state records instead of injecting the simulated cold /
-  // batch latencies, so a "cold read" pays an actual pread (plus page-cache /
-  // KV-cache effects) against the same file the committer writes. Values
-  // still come from the committed WorldState and residency bookkeeping is
-  // unchanged: like every latency knob this moves the wall clock only, and
-  // simulated-latency mode (backing == nullptr) remains the deterministic
-  // oracle. Not owned; must outlive the store.
-  KvStore* backing = nullptr;
 };
 
 // The statically predictable part of one transaction's access set: the
@@ -128,7 +116,6 @@ class SimStore {
   uint64_t warm_touches() const { return warm_touches_.load(std::memory_order_relaxed); }
   uint64_t warmed_keys() const { return warmed_keys_.load(std::memory_order_relaxed); }
   uint64_t warm_batches() const { return warm_batches_.load(std::memory_order_relaxed); }
-  uint64_t backing_reads() const { return backing_reads_.load(std::memory_order_relaxed); }
 
   // Live (contract, selector) hint buckets (test introspection; bounded by
   // max_hint_entries when that is non-zero).
@@ -167,7 +154,6 @@ class SimStore {
   };
 
   Shard& ShardFor(const StateKey& key) const;
-  void BackingRead(const StateKey& key);
 
   SimStoreConfig config_;
   static constexpr size_t kShards = 16;
@@ -181,7 +167,6 @@ class SimStore {
   std::atomic<uint64_t> warm_touches_{0};
   std::atomic<uint64_t> warmed_keys_{0};
   std::atomic<uint64_t> warm_batches_{0};
-  std::atomic<uint64_t> backing_reads_{0};
 };
 
 // Base-state reader that routes every committed read through the simulated

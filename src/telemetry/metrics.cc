@@ -198,7 +198,8 @@ std::string MetricsJson() {
 namespace {
 
 // Prometheus metric-name charset is [a-zA-Z0-9_:]; the registry's dotted
-// names ("chain.exec_block_ns") become underscored ("chain_exec_block_ns").
+// names ("chain.block.exec_busy_ns") become underscored
+// ("chain_block_exec_busy_ns").
 void AppendPromName(std::string& out, const std::string& name) {
   for (char c : name) {
     bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') ||

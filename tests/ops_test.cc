@@ -37,7 +37,7 @@
 namespace pevm {
 namespace {
 
-using ops::BlockAnatomy;
+using ops::BlockRecord;
 using ops::FlightRecorder;
 using ops::HttpRequest;
 using ops::HttpResponse;
@@ -384,13 +384,13 @@ TEST(FlightRecorderTest, WrapsKeepingNewestOldestFirst) {
   EXPECT_TRUE(recorder.Snapshot().empty());
 
   for (uint64_t i = 1; i <= 10; ++i) {
-    BlockAnatomy anatomy;
-    anatomy.block_index = i;
-    anatomy.transactions = i * 10;
-    recorder.Record(anatomy);
+    BlockRecord record;
+    record.block_index = i;
+    record.transactions = i * 10;
+    recorder.Record(record);
   }
   EXPECT_EQ(recorder.total_recorded(), 10u);
-  std::vector<BlockAnatomy> resident = recorder.Snapshot();
+  std::vector<BlockRecord> resident = recorder.Snapshot();
   ASSERT_EQ(resident.size(), 4u);
   for (size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(resident[i].block_index, 7 + i) << "oldest-first order";
@@ -398,39 +398,24 @@ TEST(FlightRecorderTest, WrapsKeepingNewestOldestFirst) {
   }
 }
 
-TEST(FlightRecorderTest, DurabilityStampIsBestEffort) {
-  FlightRecorder recorder(4);
-  for (uint64_t i = 1; i <= 6; ++i) {
-    BlockAnatomy anatomy;
-    anatomy.block_index = i;
-    recorder.Record(anatomy);
-  }
-  // Resident block: stamped. Evicted block (1): silently skipped.
-  recorder.StampDurability(5, /*queue_to_durable_ns=*/111, /*persist_ns=*/222,
-                           /*commit_batch=*/3);
-  recorder.StampDurability(1, 999, 999, 9);
-  std::vector<BlockAnatomy> resident = recorder.Snapshot();
-  ASSERT_EQ(resident.size(), 4u);
-  EXPECT_EQ(resident[2].block_index, 5u);
-  EXPECT_EQ(resident[2].queue_to_durable_ns, 111u);
-  EXPECT_EQ(resident[2].commit_persist_ns, 222u);
-  EXPECT_EQ(resident[2].commit_batch, 3u);
-  EXPECT_EQ(resident[0].queue_to_durable_ns, 0u);  // Block 3, never stamped.
-}
-
 TEST(FlightRecorderTest, JsonDumpCarriesEveryResidentBlock) {
   FlightRecorder recorder(8);
   for (uint64_t i = 1; i <= 3; ++i) {
-    BlockAnatomy anatomy;
-    anatomy.block_index = i;
-    anatomy.conflicts = static_cast<int>(i);
-    recorder.Record(anatomy);
+    BlockRecord record;
+    record.block_index = i;
+    record.conflicts = static_cast<int>(i);
+    record.bytes_appended = 100 * i;
+    record.spec_stale_reads = 10 * i;
+    recorder.Record(record);
   }
   std::string json = ops::FlightRecorderJson(recorder);
   EXPECT_NE(json.find("\"total_recorded\": 3"), std::string::npos) << json;
   EXPECT_NE(json.find("\"block\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"block\": 3"), std::string::npos);
   EXPECT_NE(json.find("\"conflicts\": 2"), std::string::npos);
+  // The seal and boundary fields are serialized under their field names too.
+  EXPECT_NE(json.find("\"bytes_appended\": 300"), std::string::npos);
+  EXPECT_NE(json.find("\"spec_stale_reads\": 20"), std::string::npos);
 }
 
 // --- Watchdog: idle vs busy vs stalled. ------------------------------------
@@ -476,9 +461,9 @@ TEST(WatchdogTest, WedgedStageFiresOnceNamingDeepestStuckStage) {
     fired.fetch_add(1);
   };
   FlightRecorder recorder(4);
-  BlockAnatomy anatomy;
-  anatomy.block_index = 2;
-  recorder.Record(anatomy);
+  BlockRecord record;
+  record.block_index = 2;
+  recorder.Record(record);
   StallWatchdog watchdog([&] { return wedged; }, &recorder, options);
 
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -688,40 +673,104 @@ TEST(OpsPlaneTest, EndpointsAnswerMidRunAndCountersAreMonotone) {
   std::remove(trace_path.c_str());
 }
 
+// The flight ring and ChainReport::blocks are the same final records, and
+// the records add up to the report: stage busy times, speculation totals and
+// durability totals are sums over blocks.
 TEST(OpsPlaneTest, FlightRecorderAnatomyIsCoherent) {
   WorkloadGenerator gen(OpsConfig(82'000));
   WorldState genesis = gen.MakeGenesis();
   std::vector<Block> blocks;
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < 5; ++i) {
     blocks.push_back(gen.MakeBlock());
   }
+  const std::filesystem::path dir = std::filesystem::path(::testing::TempDir()) /
+                                    ("ops_records_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
   ChainOptions options;
   options.exec.os_threads = 2;
+  options.speculate = true;
+  options.persist = PersistMode::kKv;
+  options.kv.fsync = false;
+  options.commit.batch_blocks = 2;
+  // The genesis seal alone: a run over the same genesis that commits nothing.
+  options.kv_dir = (dir / "genesis").string();
+  ChainRunner genesis_only(options, genesis);
+  const ChainReport& seal = genesis_only.Finish();
+  ASSERT_GT(seal.kv_bytes_appended, 0u);
+
+  options.kv_dir = (dir / "stream").string();
   ChainRunner runner(options, genesis);  // No HTTP, no watchdog: recorder still on.
   ASSERT_EQ(runner.ops_server(), nullptr);
   for (const Block& block : blocks) {
     ASSERT_TRUE(runner.Submit(block));
   }
-  ChainReport report = runner.Finish();
+  const ChainReport& report = runner.Finish();
 
-  std::vector<BlockAnatomy> anatomy = runner.flight_recorder().Snapshot();
-  ASSERT_EQ(anatomy.size(), blocks.size());
-  for (size_t b = 0; b < anatomy.size(); ++b) {
-    const BlockAnatomy& a = anatomy[b];
-    EXPECT_EQ(a.block_index, b + 1);
-    EXPECT_EQ(a.transactions, blocks[b].transactions.size());
-    EXPECT_EQ(a.root, report.roots[b]);
-    const BlockReport& r = report.block_reports[b];
-    EXPECT_EQ(a.conflicts, r.conflicts);
-    EXPECT_EQ(a.redo_success, r.redo_success);
-    EXPECT_EQ(a.oplog_entries, r.oplog_entries);
-    EXPECT_EQ(a.instructions, r.instructions);
-    EXPECT_GT(a.exec_busy_ns, 0u);
-    EXPECT_GT(a.commit_apply_ns, 0u);
-    EXPECT_GT(a.queue_to_durable_ns, 0u);
-    EXPECT_GT(a.commit_batch, 0u);  // Every batch sealed by Finish.
-    EXPECT_GT(a.diff_entries, 0u);
+  std::vector<BlockRecord> ring = runner.flight_recorder().Snapshot();
+  ASSERT_EQ(ring.size(), blocks.size());
+  ASSERT_EQ(report.blocks.size(), blocks.size());
+  const uint64_t expected_batch[] = {1, 1, 2, 2, 3};
+  uint64_t warm_ns = 0, spec_ns = 0, exec_ns = 0;
+  uint64_t bytes = 0, fsyncs = 0, sync_ns = 0;
+  SpecStats spec;
+  for (size_t b = 0; b < ring.size(); ++b) {
+    SCOPED_TRACE(testing::Message() << "block " << b);
+    const BlockRecord& r = ring[b];
+    EXPECT_TRUE(r == report.blocks[b]) << "ring and report disagree";
+    EXPECT_EQ(r.block_index, b + 1);
+    EXPECT_EQ(r.transactions, blocks[b].transactions.size());
+    EXPECT_EQ(r.root, report.roots[b]);
+    const BlockReport& br = report.block_reports[b];
+    EXPECT_EQ(r.conflicts, br.conflicts);
+    EXPECT_EQ(r.redo_success, br.redo_success);
+    EXPECT_EQ(r.redo_fail, br.redo_fail);
+    EXPECT_EQ(r.full_reexecutions, br.full_reexecutions);
+    EXPECT_EQ(r.oplog_entries, br.oplog_entries);
+    EXPECT_EQ(r.instructions, br.instructions);
+    EXPECT_EQ(r.prefetch_hits, br.prefetch_hits);
+    EXPECT_EQ(r.prefetch_misses, br.prefetch_misses);
+    EXPECT_GT(r.exec_busy_ns, 0u);
+    EXPECT_GT(r.commit_apply_ns, 0u);
+    EXPECT_GT(r.diff_entries, 0u);
+    EXPECT_EQ(r.commit_batch, expected_batch[b]);
+    // Seal freight lands on each batch's last block (blocks 2, 4 and 5).
+    const bool sealed_here = b == 1 || b == 3 || b == 4;
+    EXPECT_EQ(r.commit_persist_ns > 0, sealed_here);
+    EXPECT_EQ(r.nodes_written > 0, sealed_here);
+    EXPECT_EQ(r.bytes_appended > 0, sealed_here);
+    EXPECT_GT(r.queue_to_durable_ns, 0u);
+
+    warm_ns += r.warm_busy_ns;
+    spec_ns += r.spec_busy_ns;
+    exec_ns += r.exec_busy_ns;
+    bytes += r.bytes_appended;
+    fsyncs += r.fsyncs;
+    sync_ns += r.sync_ns;
+    spec.blocks_speculated += r.spec_launched + r.spec_held > 0 ? 1 : 0;
+    spec.txs_launched += r.spec_launched;
+    spec.txs_held += r.spec_held;
+    spec.seeds_clean += r.spec_clean;
+    spec.seeds_redo_repaired += r.spec_repaired;
+    spec.seeds_dropped += r.spec_dropped;
+    spec.stale_reads += r.spec_stale_reads;
+    spec.boundary_validate_wall_ns += r.spec_validate_ns;
   }
+  EXPECT_EQ(warm_ns, report.warm.busy_ns);
+  EXPECT_EQ(spec_ns, report.spec.busy_ns);
+  EXPECT_EQ(exec_ns, report.exec.busy_ns);
+  EXPECT_GT(report.speculation.txs_launched, 0u) << "speculation never launched (vacuous)";
+  EXPECT_EQ(report.speculation.blocks_speculated, spec.blocks_speculated);
+  EXPECT_EQ(report.speculation.txs_launched, spec.txs_launched);
+  EXPECT_EQ(report.speculation.txs_held, spec.txs_held);
+  EXPECT_EQ(report.speculation.seeds_clean, spec.seeds_clean);
+  EXPECT_EQ(report.speculation.seeds_redo_repaired, spec.seeds_redo_repaired);
+  EXPECT_EQ(report.speculation.seeds_dropped, spec.seeds_dropped);
+  EXPECT_EQ(report.speculation.stale_reads, spec.stale_reads);
+  EXPECT_EQ(report.speculation.boundary_validate_wall_ns, spec.boundary_validate_wall_ns);
+  EXPECT_EQ(report.kv_bytes_appended, seal.kv_bytes_appended + bytes);
+  EXPECT_EQ(report.kv_fsyncs, seal.kv_fsyncs + fsyncs);
+  EXPECT_EQ(report.kv_sync_ns, seal.kv_sync_ns + sync_ns);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(OpsPlaneTest, WatchdogNamesWedgedStageOnRealRunner) {

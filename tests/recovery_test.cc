@@ -17,12 +17,14 @@
 #include <algorithm>
 #include <filesystem>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/chain/chain_runner.h"
 #include "src/chain/node_store.h"
 #include "src/kv/kv_store.h"
+#include "src/telemetry/trace.h"
 #include "src/workload/block_gen.h"
 
 namespace pevm {
@@ -125,10 +127,10 @@ TEST_F(ChainPersistenceTest, KvRootsBitIdenticalAcrossExecutorsAndThreads) {
             << "block " << b;
       }
       // Every block carried durable freight.
-      ASSERT_EQ(report.durability.size(), stream.blocks.size());
-      for (const BlockDurability& d : report.durability) {
-        EXPECT_GT(d.bytes_appended, 0u);
-        EXPECT_GT(d.nodes_written, 0u);
+      ASSERT_EQ(report.blocks.size(), stream.blocks.size());
+      for (const ops::BlockRecord& r : report.blocks) {
+        EXPECT_GT(r.bytes_appended, 0u);
+        EXPECT_GT(r.nodes_written, 0u);
       }
       EXPECT_GT(report.kv_bytes_appended, 0u);
     }
@@ -151,12 +153,11 @@ TEST_F(ChainPersistenceTest, InMemoryStoreMirrorsKvByteAccounting) {
   };
   ChainReport mem = run(PersistMode::kInMemory);
   ChainReport kv = run(PersistMode::kKv);
-  ASSERT_EQ(mem.durability.size(), kv.durability.size());
-  for (size_t b = 0; b < mem.durability.size(); ++b) {
-    EXPECT_EQ(mem.durability[b].bytes_appended, kv.durability[b].bytes_appended)
-        << "block " << b;
-    EXPECT_EQ(mem.durability[b].nodes_written, kv.durability[b].nodes_written) << "block " << b;
-    EXPECT_EQ(kv.durability[b].fsyncs, 0u);  // fsync off in this battery.
+  ASSERT_EQ(mem.blocks.size(), kv.blocks.size());
+  for (size_t b = 0; b < mem.blocks.size(); ++b) {
+    EXPECT_EQ(mem.blocks[b].bytes_appended, kv.blocks[b].bytes_appended) << "block " << b;
+    EXPECT_EQ(mem.blocks[b].nodes_written, kv.blocks[b].nodes_written) << "block " << b;
+    EXPECT_EQ(kv.blocks[b].fsyncs, 0u);  // fsync off in this battery.
   }
   EXPECT_EQ(mem.kv_bytes_appended, kv.kv_bytes_appended);
   EXPECT_EQ(mem.kv_fsyncs, 0u);
@@ -174,9 +175,9 @@ TEST_F(ChainPersistenceTest, FsyncAccounting) {
   ASSERT_EQ(report.blocks_committed, stream.blocks.size());
   // Single committer thread: every block batch pays exactly one fsync, plus
   // one for the genesis seal.
-  for (const BlockDurability& d : report.durability) {
-    EXPECT_EQ(d.fsyncs, 1u);
-    EXPECT_GE(d.persist_ns, d.sync_ns);
+  for (const ops::BlockRecord& r : report.blocks) {
+    EXPECT_EQ(r.fsyncs, 1u);
+    EXPECT_GE(r.commit_persist_ns, r.sync_ns);
   }
   EXPECT_EQ(report.kv_fsyncs, stream.blocks.size() + 1);
 }
@@ -202,13 +203,13 @@ TEST_F(ChainPersistenceTest, BatchedCommitsAmortizeFsyncsAndKeepAccountingHonest
   // Seal freight (fsync, log bytes, archived nodes) lands on each batch's
   // last block; earlier members carry none — but every block still records
   // its own honest enqueue→durable latency.
-  for (size_t b = 0; b < report.durability.size(); ++b) {
-    const BlockDurability& d = report.durability[b];
+  for (size_t b = 0; b < report.blocks.size(); ++b) {
+    const ops::BlockRecord& r = report.blocks[b];
     const bool batch_final = b == 2 || b == 5 || b == 6;
-    EXPECT_EQ(d.fsyncs, batch_final ? 1u : 0u) << "block " << b;
-    EXPECT_EQ(d.bytes_appended > 0, batch_final) << "block " << b;
-    EXPECT_EQ(d.nodes_written > 0, batch_final) << "block " << b;
-    EXPECT_GT(d.queue_to_durable_ns, 0u) << "block " << b;
+    EXPECT_EQ(r.fsyncs, batch_final ? 1u : 0u) << "block " << b;
+    EXPECT_EQ(r.bytes_appended > 0, batch_final) << "block " << b;
+    EXPECT_EQ(r.nodes_written > 0, batch_final) << "block " << b;
+    EXPECT_GT(r.queue_to_durable_ns, 0u) << "block " << b;
   }
   EXPECT_EQ(report.kv_fsyncs, 3u + 1u);  // One per batch plus the genesis seal.
 }
@@ -227,11 +228,10 @@ TEST_F(ChainPersistenceTest, InMemoryStoreMirrorsKvByteAccountingUnderBatching) 
   };
   ChainReport mem = run(PersistMode::kInMemory);
   ChainReport kv = run(PersistMode::kKv);
-  ASSERT_EQ(mem.durability.size(), kv.durability.size());
-  for (size_t b = 0; b < mem.durability.size(); ++b) {
-    EXPECT_EQ(mem.durability[b].bytes_appended, kv.durability[b].bytes_appended)
-        << "block " << b;
-    EXPECT_EQ(mem.durability[b].nodes_written, kv.durability[b].nodes_written) << "block " << b;
+  ASSERT_EQ(mem.blocks.size(), kv.blocks.size());
+  for (size_t b = 0; b < mem.blocks.size(); ++b) {
+    EXPECT_EQ(mem.blocks[b].bytes_appended, kv.blocks[b].bytes_appended) << "block " << b;
+    EXPECT_EQ(mem.blocks[b].nodes_written, kv.blocks[b].nodes_written) << "block " << b;
   }
   EXPECT_EQ(mem.kv_bytes_appended, kv.kv_bytes_appended);
   EXPECT_EQ(mem.commit_batches, kv.commit_batches);
@@ -301,6 +301,61 @@ TEST_F(ChainResumeTest, AbortLeavesConsistentDurablePrefix) {
   // The flat mirror and the manifest agree (this is the cross-check a
   // resuming ChainRunner performs before accepting the store).
   EXPECT_EQ(HexEncode(recovered->state.StateRoot()), HexEncode(recovered->root));
+}
+
+// One number per block: the trace, the flight ring and the snapshot registry
+// all count chain-lifetime blocks from 1, so a resumed runner's first block is
+// recovered_blocks() + 1 everywhere.
+TEST_F(ChainResumeTest, TraceRingAndRegistryNumberBlocksAlike) {
+#if defined(PEVM_TELEMETRY_DISABLED)
+  GTEST_SKIP() << "instrumentation sites compiled out (-DPEVM_TELEMETRY=OFF)";
+#endif
+  Stream stream = MakeStream(7900, 5);
+  ChainOptions options = KvChainOptions(dir_.string());
+  {
+    ChainRunner runner(options, stream.genesis);
+    for (size_t b = 0; b < 3; ++b) {
+      ASSERT_TRUE(runner.Submit(stream.blocks[b]));
+    }
+    ASSERT_EQ(runner.Finish().blocks_committed, 3u);
+  }
+  options.query_tier = true;
+  telemetry::SetEnabled(true);
+  telemetry::Reset();
+  ChainRunner runner(options, stream.genesis);
+  ASSERT_EQ(runner.recovered_blocks(), 3u);
+  for (size_t b = 3; b < 5; ++b) {
+    ASSERT_TRUE(runner.Submit(stream.blocks[b]));
+  }
+  ASSERT_EQ(runner.Finish().blocks_committed, 2u);
+  const std::string json = telemetry::ChromeTraceJson();
+  telemetry::SetEnabled(false);
+
+  std::vector<uint64_t> ring;
+  for (const auto& record : runner.flight_recorder().Snapshot()) {
+    ring.push_back(record.block_index);
+  }
+  EXPECT_EQ(ring, (std::vector<uint64_t>{4, 5}));
+  EXPECT_EQ(runner.snapshots()->latest_block(), 5u);
+
+  // Every chain.warm / chain.exec / chain.commit span names block 4 or 5, and
+  // each of the two blocks appears once per stage.
+  for (const std::string span : {"chain.warm", "chain.exec", "chain.commit"}) {
+    SCOPED_TRACE(span);
+    const std::string name = "\"name\": \"" + span + "\"";
+    std::vector<uint64_t> seen;
+    std::istringstream lines(json);
+    for (std::string line; std::getline(lines, line);) {
+      if (line.find(name) == std::string::npos) {
+        continue;
+      }
+      const size_t arg = line.find("\"block\": ");
+      ASSERT_NE(arg, std::string::npos) << line;
+      seen.push_back(std::stoull(line.substr(arg + 9)));
+    }
+    std::sort(seen.begin(), seen.end());
+    EXPECT_EQ(seen, (std::vector<uint64_t>{4, 5}));
+  }
 }
 
 // --- The property test: truncate the tail segment at a random byte.
@@ -473,51 +528,6 @@ TEST_F(CrashRecoveryPropertyTest, TruncationUnderBatchingRecoversOnBatchBoundari
       }
     }
     fs::remove_all(work);
-  }
-}
-
-// --- SimStore KV backing: real file reads, unchanged results.
-
-TEST_F(ChainPersistenceTest, KvBackedSimStoreKeepsRootsAndCountersBitIdentical) {
-  Stream stream = MakeStream(7600, 4);
-  auto run = [&](bool kv_backed) {
-    ChainOptions options;
-    options.exec.prefetch_depth = 8;
-    options.exec.os_threads = 4;
-    if (kv_backed) {
-      ChainOptions kv = KvChainOptions((dir_ / "backed").string());
-      options.persist = kv.persist;
-      options.kv_dir = kv.kv_dir;
-      options.kv = kv.kv;
-      options.kv_backed_sim_store = true;
-    }
-    ChainRunner runner(options, stream.genesis);
-    for (const Block& block : stream.blocks) {
-      EXPECT_TRUE(runner.Submit(block));
-    }
-    uint64_t kv_reads = 0;
-    if (kv_backed) {
-      ChainReport report = runner.Finish();
-      kv_reads = runner.kv_store()->stats().reads;
-      EXPECT_GT(kv_reads, 100u);  // Cold reads + warm-ups really hit the file.
-      return report;
-    }
-    return runner.Finish();
-  };
-  ChainReport simulated = run(false);
-  ChainReport backed = run(true);
-  ASSERT_EQ(simulated.blocks_committed, backed.blocks_committed);
-  for (size_t b = 0; b < simulated.roots.size(); ++b) {
-    EXPECT_EQ(HexEncode(simulated.roots[b]), HexEncode(backed.roots[b])) << "block " << b;
-  }
-  ASSERT_EQ(simulated.block_reports.size(), backed.block_reports.size());
-  for (size_t b = 0; b < simulated.block_reports.size(); ++b) {
-    const BlockReport& s = simulated.block_reports[b];
-    const BlockReport& k = backed.block_reports[b];
-    EXPECT_EQ(s.prefetch_hits, k.prefetch_hits) << "block " << b;
-    EXPECT_EQ(s.prefetch_misses, k.prefetch_misses) << "block " << b;
-    EXPECT_EQ(s.prefetch_wasted, k.prefetch_wasted) << "block " << b;
-    EXPECT_EQ(s.makespan_ns, k.makespan_ns) << "block " << b;
   }
 }
 
