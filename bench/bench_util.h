@@ -6,12 +6,10 @@
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
-#include <concepts>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/baselines/block_stm.h"
@@ -21,232 +19,9 @@
 #include "src/core/parallel_evm.h"
 #include "src/exec/apply.h"
 #include "src/exec/executor.h"
-#include "src/telemetry/metrics.h"
-#include "src/telemetry/trace.h"
 #include "src/workload/block_gen.h"
 
 namespace pevm {
-
-// --- Shared command-line surface. -----------------------------------------
-//
-// Every bench accepts the same flags:
-//   --smoke            CI-sized run (each bench decides what that means)
-//   --trace=<file>     enable the trace recorder, export Chrome JSON at exit
-//   --metrics=<file>   snapshot the metrics registry to JSON at exit
-//   --ops-port=<n>     serve the ops plane (/metrics, /healthz, ...) on
-//                      127.0.0.1:<n> for the benches that run a ChainRunner
-struct BenchFlags {
-  bool smoke = false;
-  std::string trace_path;
-  std::string metrics_path;
-  // Extra commit-batch depth for the chain bench's commit sweep (0 = off).
-  // The sweep always covers {1, 4}; --commit-batch=N adds N to the set.
-  size_t commit_batch = 0;
-  // Ops-plane HTTP port (-1 = off, 0 = ephemeral). Benches without a
-  // ChainRunner accept but ignore it.
-  int ops_port = -1;
-};
-
-// Parses argv into `flags`; prints a diagnostic and returns false on an
-// unknown flag. Turning on --trace flips the global recorder before the
-// bench does any work, so thread-name registrations and early spans land.
-inline bool ParseBenchFlags(int argc, char** argv, BenchFlags& flags) {
-  for (int i = 1; i < argc; ++i) {
-    std::string_view arg = argv[i];
-    if (arg == "--smoke") {
-      flags.smoke = true;
-    } else if (arg.starts_with("--trace=")) {
-      flags.trace_path = arg.substr(sizeof("--trace=") - 1);
-    } else if (arg.starts_with("--metrics=")) {
-      flags.metrics_path = arg.substr(sizeof("--metrics=") - 1);
-    } else if (arg.starts_with("--commit-batch=")) {
-      std::string_view v = arg.substr(sizeof("--commit-batch=") - 1);
-      size_t parsed = 0;
-      for (char c : v) {
-        if (c < '0' || c > '9') {
-          std::fprintf(stderr, "bad --commit-batch value: %s\n", argv[i]);
-          return false;
-        }
-        parsed = parsed * 10 + static_cast<size_t>(c - '0');
-      }
-      if (parsed == 0) {
-        std::fprintf(stderr, "bad --commit-batch value: %s (must be >= 1)\n", argv[i]);
-        return false;
-      }
-      flags.commit_batch = parsed;
-    } else if (arg.starts_with("--ops-port=")) {
-      std::string_view v = arg.substr(sizeof("--ops-port=") - 1);
-      int parsed = 0;
-      bool ok = !v.empty();
-      for (char c : v) {
-        if (c < '0' || c > '9') {
-          ok = false;
-          break;
-        }
-        parsed = parsed * 10 + (c - '0');
-      }
-      if (!ok || parsed > 65535) {
-        std::fprintf(stderr, "bad --ops-port value: %s (0..65535)\n", argv[i]);
-        return false;
-      }
-      flags.ops_port = parsed;
-    } else {
-      std::fprintf(stderr,
-                   "unknown flag: %s (supported: --smoke --trace=<file> --metrics=<file> "
-                   "--commit-batch=<n> --ops-port=<n>)\n",
-                   argv[i]);
-      return false;
-    }
-  }
-  if (!flags.trace_path.empty()) {
-    telemetry::SetEnabled(true);
-  }
-  return true;
-}
-
-// Exports whatever --trace / --metrics asked for. Call once, after the run
-// quiesces (no Span objects alive). Returns false if any write failed.
-inline bool WriteTelemetryArtifacts(const BenchFlags& flags) {
-  bool ok = true;
-  if (!flags.trace_path.empty()) {
-    if (telemetry::WriteChromeTrace(flags.trace_path)) {
-      std::printf("wrote %s (%zu threads, %llu events dropped)\n", flags.trace_path.c_str(),
-                  telemetry::RegisteredThreads(),
-                  static_cast<unsigned long long>(telemetry::DroppedEvents()));
-    } else {
-      std::fprintf(stderr, "cannot write trace to %s\n", flags.trace_path.c_str());
-      ok = false;
-    }
-  }
-  if (!flags.metrics_path.empty()) {
-    // Fold per-thread trace-ring occupancy/drop gauges into the snapshot so
-    // the metrics artifact reflects the recorder's state too.
-    telemetry::UpdateTraceGauges();
-    if (telemetry::WriteMetricsJson(flags.metrics_path)) {
-      std::printf("wrote %s\n", flags.metrics_path.c_str());
-    } else {
-      std::fprintf(stderr, "cannot write metrics to %s\n", flags.metrics_path.c_str());
-      ok = false;
-    }
-  }
-  return ok;
-}
-
-// --- BENCH_*.json emission. -----------------------------------------------
-//
-// Streaming JSON writer: tracks nesting and comma placement so every bench
-// emits its machine-readable trajectory point through one code path instead
-// of hand-balanced fprintf format strings. Output is pretty-printed (one
-// field per line) purely for diffability; consumers just parse it.
-class JsonWriter {
- public:
-  explicit JsonWriter(FILE* out) : out_(out) {}
-
-  void BeginObject(const char* key = nullptr) { Open('{', key); }
-  void EndObject() { Close('}'); }
-  void BeginArray(const char* key = nullptr) { Open('[', key); }
-  void EndArray() { Close(']'); }
-
-  void Field(const char* key, const char* value) {
-    Label(key);
-    WriteString(value);
-  }
-  void Field(const char* key, const std::string& value) { Field(key, value.c_str()); }
-  void Field(const char* key, bool value) {
-    Label(key);
-    std::fputs(value ? "true" : "false", out_);
-  }
-  void Field(const char* key, double value, int precision = 4) {
-    Label(key);
-    std::fprintf(out_, "%.*f", precision, value);
-  }
-  template <std::integral T>
-    requires(!std::same_as<T, bool>)
-  void Field(const char* key, T value) {
-    Label(key);
-    if constexpr (std::is_signed_v<T>) {
-      std::fprintf(out_, "%lld", static_cast<long long>(value));
-    } else {
-      std::fprintf(out_, "%llu", static_cast<unsigned long long>(value));
-    }
-  }
-
- private:
-  void Indent(int depth) {
-    for (int i = 0; i < depth; ++i) {
-      std::fputs("  ", out_);
-    }
-  }
-  // Comma + newline bookkeeping before any value or key at the current depth.
-  void Prefix() {
-    if (depth_ > 0) {
-      std::fputs(first_ ? "\n" : ",\n", out_);
-      Indent(depth_);
-    }
-    first_ = false;
-  }
-  void Label(const char* key) {
-    Prefix();
-    if (key != nullptr) {
-      WriteString(key);
-      std::fputs(": ", out_);
-    }
-  }
-  void Open(char bracket, const char* key) {
-    Label(key);
-    std::fputc(bracket, out_);
-    ++depth_;
-    first_ = true;
-  }
-  void Close(char bracket) {
-    --depth_;
-    if (!first_) {
-      std::fputc('\n', out_);
-      Indent(depth_);
-    }
-    std::fputc(bracket, out_);
-    first_ = false;
-    if (depth_ == 0) {
-      std::fputc('\n', out_);
-    }
-  }
-  void WriteString(const char* s) {
-    std::fputc('"', out_);
-    for (; *s != '\0'; ++s) {
-      unsigned char c = static_cast<unsigned char>(*s);
-      if (c == '"' || c == '\\') {
-        std::fputc('\\', out_);
-        std::fputc(c, out_);
-      } else if (c < 0x20) {
-        std::fprintf(out_, "\\u%04x", c);
-      } else {
-        std::fputc(c, out_);
-      }
-    }
-    std::fputc('"', out_);
-  }
-
-  FILE* out_;
-  int depth_ = 0;
-  bool first_ = true;
-};
-
-// Opens `path` and hands the writer to `emit`. Returns false (with a
-// diagnostic) if the file cannot be created; prints the customary
-// "wrote <path>" breadcrumb on success.
-template <typename Emit>
-inline bool WriteBenchJson(const char* path, Emit emit) {
-  FILE* out = std::fopen(path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return false;
-  }
-  JsonWriter writer(out);
-  emit(writer);
-  std::fclose(out);
-  std::printf("wrote %s\n", path);
-  return true;
-}
 
 struct AlgoResult {
   std::string name;

@@ -8,10 +8,12 @@
 # close/abort-with-items-in-flight paths, the KV store's segment buffers and
 # compaction, the trie's node recycling, the code cache's shared analyses
 # and the interpreter's PUSH decoding under the code-cache differential
-# suites, the HTTP parser under seeded malformed input, the chain runner's
-# shutdown/abort teardown, and its report: the per-block vectors are moved
-# into ChainReport and Finish/Abort return a reference into the runner, which
-# the persistence and resume suites read across reopened runners. The
+# suites, the HTTP parser under seeded malformed input, the ops plane's
+# endpoints (the live trace is served as a GET response body; a POST to it is
+# refused and writes nothing), the chain runner's shutdown/abort teardown,
+# and its report: the per-block vectors are moved into ChainReport and
+# Finish/Abort return a reference into the runner, which the persistence and
+# resume suites read across reopened runners. The
 # substrate suites run here too: UBSan checks the unrolled Keccak's rotations
 # and the limb shifts of U256 division, ASan the bounds of the RLP writers the
 # trie encodes nodes with.

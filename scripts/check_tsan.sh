@@ -1,18 +1,17 @@
 #!/usr/bin/env bash
 # CI entry guarding the concurrent read phase, the async prefetch pipeline,
-# the chain runner's three-stage block pipeline, the shard-parallel committer
-# (ShardedMpt per-shard apply/harvest + batched IncrementalStateTrie commits),
-# the KV store's writer / reader / background-compaction concurrency, the
-# telemetry recorder's lock-free rings (concurrent writers + live export) and
-# the shared code cache (sharded shared-lock lookups, once-per-hash analysis
-# racing 16 reader threads) and the ops plane (HTTP scrape
-# threads reading pipeline counters and the flight-recorder ring while the
-# pipeline commits; the watchdog sampling concurrently):
-# builds the tree with
-# -fsanitize=thread (PEVM_SANITIZE=thread) and runs the suites that drive the
-# thread-pool pipeline, the background prefetch engine, the streaming
-# warm/execute/commit threads and the segment log hard. Any data race fails
-# the script.
+# the chain runner's block pipeline (warm, speculate, execute and commit
+# threads), the shard-parallel committer (ShardedMpt per-shard apply/harvest +
+# batched IncrementalStateTrie commits), the KV store's writer / reader /
+# background-compaction concurrency, the telemetry recorder's lock-free rings
+# (concurrent writers, live export, and a traced speculating chain runner
+# whose stage threads all record spans), the shared code cache (sharded
+# shared-lock lookups, once-per-hash analysis racing 16 reader threads) and
+# the ops plane (HTTP scrape threads reading pipeline counters, the
+# flight-recorder ring and the live trace while the pipeline commits; the
+# watchdog sampling concurrently): builds the tree with -fsanitize=thread
+# (PEVM_SANITIZE=thread) and runs the suites that drive these hard. Any data
+# race fails the script.
 #
 # Selection goes through ctest so gtest_discover_tests stays the single source
 # of truth for what exists. An empty selection is a HARD FAILURE: a typo in
@@ -28,7 +27,7 @@ BUILD_DIR=${BUILD_DIR:-build-tsan}
 # would dominate the gate. A reduced slice of the cross-block speculation
 # battery runs separately below — it IS a race driver: spec thread vs exec
 # commit frontier through the write-observer overlay.
-TSAN_REGEX=${TSAN_REGEX:-'^(DeterminismTest|ThreadPoolTest|PrefetchPropertyTest|ExecutorPropertyTest|ExecutorTypedTest|ParallelEvmTest|BlockStmTest|TwoPhaseLockingTest|EquivalenceContention|ScheduledTest|ChainRunnerTest|ChainShutdownTest|BoundaryValidationTest|KvConcurrencyTest|KvCompactionTest|ChainPersistenceTest|ChainResumeTest|TelemetryTest|MetricsTest|OsThreads/InertnessTest|ShardedMptConcurrencyTest|IncrementalStateTrieTest|CodeCacheTest|CodeCacheDifferentialTest|BoundedQueueTest|SnapshotRegistryTest|QueryEngineTest|QueryInertnessTest|HttpServerTest|PrometheusTest|FlightRecorderTest|WatchdogTest|OpsPlaneTest|OpsInertnessTest)'}
+TSAN_REGEX=${TSAN_REGEX:-'^(DeterminismTest|ThreadPoolTest|PrefetchPropertyTest|ExecutorPropertyTest|ExecutorTypedTest|ParallelEvmTest|BlockStmTest|TwoPhaseLockingTest|EquivalenceContention|ScheduledTest|ChainRunnerTest|ChainShutdownTest|BoundaryValidationTest|KvConcurrencyTest|KvCompactionTest|ChainPersistenceTest|ChainResumeTest|TelemetryTest|ChainTraceTest|MetricsTest|OsThreads/InertnessTest|ShardedMptConcurrencyTest|IncrementalStateTrieTest|CodeCacheTest|CodeCacheDifferentialTest|BoundedQueueTest|SnapshotRegistryTest|QueryEngineTest|QueryInertnessTest|HttpServerTest|PrometheusTest|FlightRecorderTest|WatchdogTest|OpsPlaneTest|OpsInertnessTest)'}
 
 cmake -B "$BUILD_DIR" -S . -DPEVM_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j "$(nproc)" \

@@ -9,7 +9,6 @@
 namespace pevm {
 
 BlockReport OccExecutor::Execute(const Block& block, WorldState& state, BoundarySeeds* seeds) {
-  WallTimer block_timer;
   CostModel cost(options_.cost);
   StateCache cache(options_.prefetch);
   SimStore* store = EnsureSimStore(options_, sim_store_);
@@ -53,7 +52,6 @@ BlockReport OccExecutor::Execute(const Block& block, WorldState& state, Boundary
   CreditCoinbase(state, block.context.coinbase, fees);
   report.makespan_ns = t + options_.cost.per_block_ns;
   report.commit_wall_ns = commit_timer.ElapsedNs();
-  report.wall_ns = block_timer.ElapsedNs();
   return report;
 }
 

@@ -11,7 +11,6 @@
 namespace pevm {
 
 BlockReport SerialExecutor::Execute(const Block& block, WorldState& state) {
-  WallTimer block_timer;
   CostModel cost(options_.cost);
   StateCache cache(options_.prefetch);
   SimStore* store = EnsureSimStore(options_, sim_store_);
@@ -73,7 +72,6 @@ BlockReport SerialExecutor::Execute(const Block& block, WorldState& state) {
   }
   if (engine) {
     engine->Finish();
-    report.prefetch_wall_ns += engine->warm_wall_ns();
   }
   if (account_prefetch) {
     std::vector<const ReadSet*> reads(n, nullptr);
@@ -84,7 +82,6 @@ BlockReport SerialExecutor::Execute(const Block& block, WorldState& state) {
   }
   CreditCoinbase(state, block.context.coinbase, fees);
   report.makespan_ns = t;
-  report.wall_ns = block_timer.ElapsedNs();
   return report;
 }
 

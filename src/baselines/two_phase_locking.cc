@@ -55,7 +55,6 @@ struct Event {
 }  // namespace
 
 BlockReport TwoPhaseLockingExecutor::Execute(const Block& block, WorldState& state) {
-  WallTimer block_timer;
   CostModel cost(options_.cost);
   StateCache cache(options_.prefetch);
   BlockReport report;
@@ -239,7 +238,6 @@ BlockReport TwoPhaseLockingExecutor::Execute(const Block& block, WorldState& sta
 
   report.conflicts = report.lock_aborts;
   report.makespan_ns = makespan + options_.cost.per_block_ns;
-  report.wall_ns = block_timer.ElapsedNs();
   return report;
 }
 

@@ -155,10 +155,7 @@ ChainRunner::ChainRunner(const ChainOptions& options, const WorldState& genesis)
     spec_thread_ = std::thread(&ChainRunner::SpecLoop, this);
   }
   exec_thread_ = std::thread(&ChainRunner::ExecLoop, this);
-  if (options_.overlap_commit) {
-    commit_thread_ = std::thread(&ChainRunner::CommitLoop, this);
-  }
-  run_timer_ = WallTimer();  // Exclude trie seeding and thread spawn from wall_ns.
+  commit_thread_ = std::thread(&ChainRunner::CommitLoop, this);
 }
 
 ChainRunner::~ChainRunner() {
@@ -213,9 +210,6 @@ ops::PipelineProgress ChainRunner::Progress() const {
   }
   progress.stages.push_back(std::move(exec));
 
-  // Active even with overlap_commit = false: CommitOne then runs inline on
-  // the exec thread but still counts entry/exit, so an inline committer
-  // wedged in a trie apply is diagnosed as "commit", not "exec".
   ops::StageProgress commit;
   commit.name = "commit";
   commit.active = true;
@@ -422,25 +416,12 @@ void ChainRunner::ExecLoop() {
     block_reports_.push_back(std::move(report));
     item->handoff_ns = telemetry::NowNs();
     exec_out_.fetch_add(1, std::memory_order_relaxed);
-    if (options_.overlap_commit) {
-      if (!diffs_->Push(std::move(*item))) {
-        break;  // Aborted downstream.
-      }
-    } else {
-      CommitOne(std::move(*item));
+    if (!diffs_->Push(std::move(*item))) {
+      break;  // Aborted downstream.
     }
-  }
-  if (!options_.overlap_commit) {
-    // Inline committer: seal the open batch before the stream closes.
-    WallTimer tail;
-    FlushBatch();
-    commit_stats_.busy_ns += tail.ElapsedNs();
   }
   diffs_->Close();
   exec_stats_.wall_ns = stage.ElapsedNs();
-  if (!options_.overlap_commit) {
-    commit_stats_.wall_ns = exec_stats_.wall_ns;
-  }
 }
 
 void ChainRunner::CommitLoop() {
@@ -477,7 +458,7 @@ void ChainRunner::CommitOne(InFlight item) {
   if (snapshots_) {
     // Publish AFTER the root is final: acquirers see (block, root, versions)
     // only once the triple is complete. Single publisher by construction —
-    // CommitOne runs on exactly one thread (commit or, inline, exec).
+    // CommitOne runs only on the commit thread.
     snapshots_->Publish(record.block_index, record.root, item.diff);
     record.snapshots_retained = snapshots_->retained();
     record.snapshot_live_pins = snapshots_->live_pins();
@@ -568,7 +549,6 @@ void ChainRunner::JoinAll() {
   // Pipeline is quiescent: tell the watchdog to stand down rather than
   // diagnose the (intentional) absence of progress as a stall.
   pipeline_running_.store(false, std::memory_order_relaxed);
-  run_wall_ns_ = run_timer_.ElapsedNs();
 }
 
 ChainReport ChainRunner::BuildReport(bool aborted) {
@@ -590,7 +570,6 @@ ChainReport ChainRunner::BuildReport(bool aborted) {
   report.blocks_committed = roots_.size();
   report.blocks_resumed = recovered_blocks_;
   report.commit_batches = commit_batches_;
-  report.wall_ns = run_wall_ns_;
   report.aborted = aborted;
   report.kv_bytes_appended = genesis_seal_.bytes_appended;
   report.kv_fsyncs = genesis_seal_.fsyncs;

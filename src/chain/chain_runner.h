@@ -16,11 +16,11 @@
 // back-pressures execution, a slow executor back-pressures warming and
 // Submit. Determinism contract (DESIGN.md §3.2): the pipeline changes wall
 // clock only. Roots, receipts and virtual makespans are bit-identical to
-// executing the same blocks one at a time, at every queue depth, OS thread
-// count and overlap setting, because (a) the committer replays each block's
-// ordered diff exactly as WorldState applied it and (b) SimStore warming
-// never carries values, so racing the warm stage against execution cannot
-// change what any transaction reads.
+// executing the same blocks one at a time, at every queue depth and OS thread
+// count, because (a) the committer replays each block's ordered diff exactly
+// as WorldState applied it and (b) SimStore warming never carries values, so
+// racing the warm stage against execution cannot change what any transaction
+// reads.
 #ifndef SRC_CHAIN_CHAIN_RUNNER_H_
 #define SRC_CHAIN_CHAIN_RUNNER_H_
 
@@ -76,10 +76,6 @@ struct ChainOptions {
   // Capacity of each inter-stage queue: how many blocks a stage may run ahead
   // of the next before backpressure stalls it.
   size_t queue_depth = 4;
-  // When false, the diff is committed inline on the execution thread after
-  // each block (the serial-commitment baseline the overlapped pipeline is
-  // measured against); stage 3's thread is not started.
-  bool overlap_commit = true;
   // Durability (see PersistMode). With kKv, a directory that already holds
   // committed blocks resumes: the runner rebuilds the committed WorldState
   // from the store, verifies its root against the durable manifest, and keeps
@@ -135,9 +131,7 @@ struct ChainOptions {
 
 // Per-stage accounting. busy_ns counts time spent doing stage work (warming,
 // executing, committing); wall_ns is the stage thread's lifetime, so
-// busy_fraction() ~ 1 means the stage was the pipeline bottleneck. With
-// overlap_commit = false the commit stage runs on the exec thread and its
-// wall_ns mirrors the exec stage's.
+// busy_fraction() ~ 1 means the stage was the pipeline bottleneck.
 struct StageStats {
   uint64_t busy_ns = 0;
   uint64_t wall_ns = 0;
@@ -181,7 +175,6 @@ struct ChainReport {
   uint64_t blocks_committed = 0;  // == roots.size(); a consistent prefix.
   uint64_t blocks_resumed = 0;    // Durable blocks recovered at construction.
   uint64_t commit_batches = 0;    // Durable seals this run (== blocks at batch 1).
-  uint64_t wall_ns = 0;           // First Submit to pipeline join.
   bool aborted = false;
 
   // One final record per committed block (this run only, index-aligned with
@@ -199,11 +192,6 @@ struct ChainReport {
 
   // Per-block executor reports, in block order, for executed blocks.
   std::vector<BlockReport> block_reports;
-
-  double blocks_per_sec() const {
-    return wall_ns == 0 ? 0.0 : static_cast<double>(blocks_committed) * 1e9 /
-                                    static_cast<double>(wall_ns);
-  }
 };
 
 class ChainRunner {
@@ -355,8 +343,8 @@ class ChainRunner {
   // Root-pinned snapshot registry for the read-only query tier (null unless
   // options_.query_tier). Created in the constructor — after recovery fixes
   // the seed root, before any pipeline thread starts — and published to only
-  // by CommitOne (commit thread when overlapped, exec thread inline), so the
-  // registry's single-publisher contract holds either way.
+  // by CommitOne on the commit thread, so the registry's single-publisher
+  // contract holds.
   std::unique_ptr<SnapshotRegistry> snapshots_;
 
   std::unique_ptr<BoundedQueue<InFlight>> input_;    // Submit -> warm.
@@ -378,7 +366,7 @@ class ChainRunner {
   std::thread warm_thread_;
   std::thread spec_thread_;  // Only started when spec_enabled_.
   std::thread exec_thread_;
-  std::thread commit_thread_;  // Only started when overlap_commit.
+  std::thread commit_thread_;
 
   // Each stage's stats are written by that stage's thread only and read after
   // the join; roots_/block_reports_/blocks_ likewise. open_batch_ holds the
@@ -412,8 +400,6 @@ class ChainRunner {
   // the shared flags are atomic; the queues provide the actual cutoff.
   std::atomic<uint64_t> blocks_submitted_{0};
   std::atomic<bool> finished_{false};
-  WallTimer run_timer_;  // Reset at construction end, read after the join.
-  uint64_t run_wall_ns_ = 0;
   std::optional<ChainReport> report_;
 };
 

@@ -12,7 +12,6 @@ namespace pevm {
 
 BlockReport ParallelEvmExecutor::Execute(const Block& block, WorldState& state,
                                          BoundarySeeds* seeds) {
-  WallTimer block_timer;
   CostModel cost(options_.cost);
   StateCache cache(options_.prefetch);
   SimStore* store = EnsureSimStore(options_, sim_store_);
@@ -74,7 +73,6 @@ BlockReport ParallelEvmExecutor::Execute(const Block& block, WorldState& state,
   CreditCoinbase(state, block.context.coinbase, fees);
   report.makespan_ns = t + options_.cost.per_block_ns;
   report.commit_wall_ns = commit_timer.ElapsedNs();
-  report.wall_ns = block_timer.ElapsedNs();
   return report;
 }
 

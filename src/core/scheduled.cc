@@ -20,7 +20,6 @@ TxSchedule::Plan PlanFor(const BlockSchedule& schedule, size_t i) {
 }  // namespace
 
 ProposalResult ProposeBlock(const Block& block, WorldState& state, const ExecOptions& options) {
-  WallTimer block_timer;
   CostModel cost(options.cost);
   StateCache cache(options.prefetch);
   // Free functions have no instance to persist hints on; the store (and its
@@ -81,13 +80,11 @@ ProposalResult ProposeBlock(const Block& block, WorldState& state, const ExecOpt
   CreditCoinbase(state, block.context.coinbase, fees);
   report.makespan_ns = t + options.cost.per_block_ns;
   report.commit_wall_ns = commit_timer.ElapsedNs();
-  report.wall_ns = block_timer.ElapsedNs();
   return result;
 }
 
 BlockReport ExecuteWithSchedule(const Block& block, const BlockSchedule& schedule,
                                 WorldState& state, const ExecOptions& options, bool paranoid) {
-  WallTimer block_timer;
   CostModel cost(options.cost);
   StateCache cache(options.prefetch);
   std::unique_ptr<SimStore> local_store;
@@ -176,7 +173,6 @@ BlockReport ExecuteWithSchedule(const Block& block, const BlockSchedule& schedul
   CreditCoinbase(state, block.context.coinbase, fees);
   report.makespan_ns = t + options.cost.per_block_ns;
   report.commit_wall_ns = commit_timer.ElapsedNs();
-  report.wall_ns = block_timer.ElapsedNs();
   return report;
 }
 

@@ -118,7 +118,6 @@ struct BlockReport {
   // Real wall-clock measurements (the virtual-time makespan above stays the
   // paper-figure oracle; these report what the hardware actually did). The
   // only BlockReport fields allowed to vary with ExecOptions::os_threads.
-  uint64_t wall_ns = 0;         // Whole Execute() call.
   uint64_t read_wall_ns = 0;    // Parallel speculation (read phase).
   uint64_t commit_wall_ns = 0;  // Validate/redo/write sweep.
 
@@ -137,12 +136,10 @@ struct BlockReport {
   // > 0). hits/misses classify each transaction's observed reads against its
   // predicted access set; wasted counts predicted keys no transaction read.
   // All three are computed on the deterministic block-order pass, so they are
-  // OS-thread-count invariant; prefetch_wall_ns is the engine's real warm-up
-  // time and belongs with the wall-clock fields above.
+  // OS-thread-count invariant.
   uint64_t prefetch_hits = 0;
   uint64_t prefetch_misses = 0;
   uint64_t prefetch_wasted = 0;
-  uint64_t prefetch_wall_ns = 0;
 
   // Hot-key conflict histogram (hottest first, ConflictAttribution::Sorted
   // order). Empty for executors without read validation (serial, 2PL).

@@ -84,7 +84,6 @@ BlockReport AggregateBlockReports(const std::vector<BlockReport>& reports) {
   std::unordered_map<StateKey, ConflictKeyStats, StateKeyHash> keys;
   for (const BlockReport& r : reports) {
     total.makespan_ns += r.makespan_ns;
-    total.wall_ns += r.wall_ns;
     total.read_wall_ns += r.read_wall_ns;
     total.commit_wall_ns += r.commit_wall_ns;
     total.conflicts += r.conflicts;
@@ -99,7 +98,6 @@ BlockReport AggregateBlockReports(const std::vector<BlockReport>& reports) {
     total.prefetch_hits += r.prefetch_hits;
     total.prefetch_misses += r.prefetch_misses;
     total.prefetch_wasted += r.prefetch_wasted;
-    total.prefetch_wall_ns += r.prefetch_wall_ns;
     for (const ConflictKeyStats& stats : r.conflict_keys) {
       ConflictKeyStats& merged = keys.try_emplace(stats.key, ConflictKeyStats{stats.key}).first->second;
       merged.conflicts += stats.conflicts;
@@ -205,7 +203,6 @@ ReadPhase RunReadPhase(const Block& block, const WorldState& state,
   }
   if (engine) {
     engine->Finish();
-    report.prefetch_wall_ns += engine->warm_wall_ns();
   }
 
   // Order-dependent accounting runs strictly in block order on this thread,

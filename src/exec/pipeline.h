@@ -8,7 +8,7 @@
 //
 // Time is reported twice (DESIGN.md §3.2): the virtual-time cost model stays
 // the paper-figure oracle (makespan_ns), while WallTimer feeds the real
-// wall-clock BlockReport fields (wall_ns, read_wall_ns, commit_wall_ns) that
+// wall-clock BlockReport fields (read_wall_ns, commit_wall_ns) that
 // the thread-pool read phase actually earns. Results are bit-identical for
 // every OS-thread count: only the wall-clock fields may differ.
 #ifndef SRC_EXEC_PIPELINE_H_

@@ -33,8 +33,7 @@ bool OpsServer::Start(std::string* error) {
     http_->Route("GET", "/healthz", [this](const HttpRequest& r) { return HandleHealthz(r); });
     http_->Route("GET", "/debug/blocks",
                  [this](const HttpRequest& r) { return HandleBlocks(r); });
-    http_->Route("POST", "/debug/trace",
-                 [this](const HttpRequest& r) { return HandleTraceDump(r); });
+    http_->Route("GET", "/debug/trace", [this](const HttpRequest& r) { return HandleTrace(r); });
     if (!http_->Start(error)) {
       http_.reset();
       return false;
@@ -46,10 +45,7 @@ bool OpsServer::Start(std::string* error) {
     watchdog_options.poll_ms = options_.watchdog_poll_ms;
     watchdog_options.log_to_stderr = options_.watchdog_log_to_stderr;
     watchdog_options.on_stall = options_.on_stall;
-    if (!options_.stall_dump_prefix.empty()) {
-      watchdog_options.trace_dump_path = options_.stall_dump_prefix + "_trace.json";
-      watchdog_options.metrics_dump_path = options_.stall_dump_prefix + "_metrics.json";
-    }
+    watchdog_options.dump_prefix = options_.stall_dump_prefix;
     watchdog_ = std::make_unique<StallWatchdog>(progress_, &recorder_, watchdog_options);
   }
   started_ = true;
@@ -75,7 +71,7 @@ HttpResponse OpsServer::HandleIndex(const HttpRequest&) {
           "  GET  /metrics      Prometheus text exposition\n"
           "  GET  /healthz      liveness + per-stage progress (JSON)\n"
           "  GET  /debug/blocks flight-recorder dump (JSON)\n"
-          "  POST /debug/trace  export Chrome trace JSON (body = path)\n"};
+          "  GET  /debug/trace  live trace rings (Chrome trace JSON)\n"};
 }
 
 HttpResponse OpsServer::HandleMetrics(const HttpRequest&) {
@@ -157,19 +153,8 @@ HttpResponse OpsServer::HandleBlocks(const HttpRequest&) {
   return {200, "application/json", FlightRecorderJson(recorder_)};
 }
 
-HttpResponse OpsServer::HandleTraceDump(const HttpRequest& request) {
-  std::string path = request.body.empty() ? options_.trace_dump_path : request.body;
-  // Strip a trailing newline a curl -d invocation may append.
-  while (!path.empty() && (path.back() == '\n' || path.back() == '\r')) {
-    path.pop_back();
-  }
-  if (path.empty()) {
-    return {400, "text/plain; charset=utf-8", "empty trace path\n"};
-  }
-  if (!telemetry::WriteChromeTrace(path)) {
-    return {500, "text/plain; charset=utf-8", "cannot write " + path + "\n"};
-  }
-  return {200, "application/json", "{\"written\": \"" + path + "\"}\n"};
+HttpResponse OpsServer::HandleTrace(const HttpRequest&) {
+  return {200, "application/json", telemetry::ChromeTraceJson()};
 }
 
 }  // namespace pevm::ops

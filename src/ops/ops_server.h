@@ -18,8 +18,10 @@
 //                       queue depths, snapshot-registry and query-engine
 //                       stats when attached.
 //   GET  /debug/blocks— flight-recorder dump (per-block records, JSON).
-//   POST /debug/trace — export the live trace rings as Chrome JSON; body =
-//                       target path (default ops_trace.json).
+//   GET  /debug/trace — the live trace rings as Chrome trace JSON, returned
+//                       as the response body.
+//
+// Every route is a read-only GET: no request can make the node write a file.
 #ifndef SRC_OPS_OPS_SERVER_H_
 #define SRC_OPS_OPS_SERVER_H_
 
@@ -59,9 +61,6 @@ struct OpsServerOptions {
   std::string stall_dump_prefix;
   // Test/embedder hook forwarded to the watchdog.
   std::function<void(const StallDiagnosis&)> on_stall;
-
-  // Default target of POST /debug/trace when the request body is empty.
-  std::string trace_dump_path = "ops_trace.json";
 
   bool enabled() const { return port >= 0 || watchdog; }
 };
@@ -106,7 +105,7 @@ class OpsServer {
   HttpResponse HandleMetrics(const HttpRequest& request);
   HttpResponse HandleHealthz(const HttpRequest& request);
   HttpResponse HandleBlocks(const HttpRequest& request);
-  HttpResponse HandleTraceDump(const HttpRequest& request);
+  HttpResponse HandleTrace(const HttpRequest& request);
 
   OpsServerOptions options_;
   const FlightRecorder& recorder_;

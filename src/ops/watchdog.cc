@@ -185,17 +185,15 @@ void StallWatchdog::Fire(const PipelineProgress& progress, uint64_t stalled_for_
     std::string rendered = diagnosis.Render();
     std::fwrite(rendered.data(), 1, rendered.size(), stderr);
   }
-  if (!options_.trace_dump_path.empty()) {
-    if (telemetry::WriteChromeTrace(options_.trace_dump_path)) {
-      std::fprintf(stderr, "watchdog: dumped trace to %s\n",
-                   options_.trace_dump_path.c_str());
+  if (!options_.dump_prefix.empty()) {
+    const std::string trace_path = options_.dump_prefix + "_trace.json";
+    if (telemetry::WriteChromeTrace(trace_path)) {
+      std::fprintf(stderr, "watchdog: dumped trace to %s\n", trace_path.c_str());
     }
-  }
-  if (!options_.metrics_dump_path.empty()) {
+    const std::string metrics_path = options_.dump_prefix + "_metrics.json";
     telemetry::UpdateTraceGauges();
-    if (telemetry::WriteMetricsJson(options_.metrics_dump_path)) {
-      std::fprintf(stderr, "watchdog: dumped metrics to %s\n",
-                   options_.metrics_dump_path.c_str());
+    if (telemetry::WriteMetricsJson(metrics_path)) {
+      std::fprintf(stderr, "watchdog: dumped metrics to %s\n", metrics_path.c_str());
     }
   }
   {

@@ -77,11 +77,10 @@ struct WatchdogOptions {
   uint64_t deadline_ms = 10'000;  // No progress for this long (with work
                                   // in flight) = stalled.
   uint64_t poll_ms = 200;         // Sampling period.
-  // Auto-dump targets on stall ("" = skip). The trace dump is whatever the
-  // per-thread rings still hold; the metrics dump includes the trace-ring
-  // gauges refreshed at dump time.
-  std::string trace_dump_path;
-  std::string metrics_dump_path;
+  // Auto-dump on stall ("" = skip): <dump_prefix>_trace.json holds whatever
+  // the per-thread rings still hold; <dump_prefix>_metrics.json includes the
+  // trace-ring gauges refreshed at dump time.
+  std::string dump_prefix;
   bool log_to_stderr = true;
   // Test/embedder hook, called on the watchdog thread for each stall.
   std::function<void(const StallDiagnosis&)> on_stall;

@@ -60,12 +60,9 @@ struct QueryRequest {
   std::optional<Hash256> at_root;
 };
 
-// A request plus its intended submission instant relative to load start —
-// what the workload generator emits and bench submitter threads replay
-// (offset 0 = submit immediately; bursty schedules cluster offsets).
+// One generated request, what WorkloadGenerator::MakeQueryLoad emits.
 struct TimedQuery {
   QueryRequest request;
-  uint64_t offset_ns = 0;
 };
 
 enum class QueryStatus : uint8_t {

@@ -166,7 +166,6 @@ void PrefetchEngine::DriverLoop() {
   const size_t max_pending = static_cast<size_t>(pool_.threads());
   std::vector<std::vector<StateKey>> pending;
   std::vector<StateKey> current;
-  uint64_t warm_ns = 0;
 
   auto flush = [&](bool include_partial) {
     if (include_partial && !current.empty()) {
@@ -180,12 +179,8 @@ void PrefetchEngine::DriverLoop() {
       keys_issued_ += batch.size();
     }
     batches_issued_ += pending.size();
-    auto start = std::chrono::steady_clock::now();
     pool_.ParallelFor(pending.size(),
                       [&](size_t b) { store_.WarmBatch(std::span<const StateKey>(pending[b])); });
-    warm_ns += static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                         std::chrono::steady_clock::now() - start)
-                                         .count());
     pending.clear();
   };
 
@@ -213,7 +208,6 @@ void PrefetchEngine::DriverLoop() {
     }
   }
   flush(/*include_partial=*/true);
-  warm_wall_ns_ = warm_ns;
 }
 
 }  // namespace pevm

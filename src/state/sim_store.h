@@ -220,7 +220,6 @@ class PrefetchEngine {
   void Drain();
 
   // Valid after Finish()/Drain().
-  uint64_t warm_wall_ns() const { return warm_wall_ns_; }
   uint64_t keys_issued() const { return keys_issued_; }
   uint64_t batches_issued() const { return batches_issued_; }
 
@@ -233,8 +232,7 @@ class PrefetchEngine {
   ThreadPool pool_;
   std::atomic<size_t> progress_{0};
   std::atomic<bool> stop_{false};
-  uint64_t warm_wall_ns_ = 0;  // Written by the driver, read after join.
-  uint64_t keys_issued_ = 0;
+  uint64_t keys_issued_ = 0;  // Written by the driver, read after join.
   uint64_t batches_issued_ = 0;
   std::thread driver_;  // Last member: starts after everything else is ready.
 };

@@ -152,8 +152,8 @@ std::vector<RingStats> TraceRingStats();
 // "trace.dropped_events" and "trace.ring_threads" plus a per-thread
 // "trace.ring_occupancy.t<tid>" gauge — so ring-buffer undersizing shows up
 // on a live /metrics scrape instead of only in the post-run JSON export. The
-// ops server calls this on every scrape; benches call it once before the
-// --metrics= snapshot.
+// ops server calls this on every scrape, and the stall watchdog before its
+// metrics dump.
 void UpdateTraceGauges();
 
 }  // namespace pevm::telemetry

@@ -320,9 +320,6 @@ std::vector<TimedQuery> WorkloadGenerator::MakeQueryLoad(int n,
   load.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     TimedQuery timed;
-    if (qc.burst > 0) {
-      timed.offset_ns = static_cast<uint64_t>(i / qc.burst) * qc.burst_gap_ns;
-    }
     QueryRequest& req = timed.request;
     const double kind = uniform(rng);
     const int user = static_cast<int>(user_zipf(rng) - 1);

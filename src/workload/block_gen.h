@@ -73,11 +73,6 @@ struct QueryWorkloadConfig {
   // balance/nonce poll asks about (rank 1 hottest, like the write side).
   double contract_zipf_s = 1.0;
   double user_zipf_s = 1.2;
-  // Arrival schedule. burst = 0 emits every offset at 0 (submit as fast as
-  // backpressure allows). burst > 0 groups queries into bursts of that size,
-  // `burst_gap_ns` apart — the bursty open-loop arrival the bench replays.
-  int burst = 0;
-  uint64_t burst_gap_ns = 0;
 };
 
 class WorkloadGenerator {
@@ -107,9 +102,9 @@ class WorkloadGenerator {
 
   // Read-only query load over this workload's population (satellite of the
   // query tier): Zipf-skewed contract/user choice, kind mix per
-  // QueryWorkloadConfig, arrival offsets per its burst schedule. const —
-  // query generation must not perturb the transaction stream's RNG, so
-  // interleaving MakeBlock and MakeQueryLoad calls changes nothing.
+  // QueryWorkloadConfig. const — query generation must not perturb the
+  // transaction stream's RNG, so interleaving MakeBlock and MakeQueryLoad
+  // calls changes nothing.
   std::vector<TimedQuery> MakeQueryLoad(int n, const QueryWorkloadConfig& config) const;
 
   const WorkloadConfig& config() const { return config_; }

@@ -148,9 +148,9 @@ void ExpectRootsMatchOracle(const ChainReport& report, const ChainCase& chain,
 
 // Every deterministic BlockReport field, bit for bit — receipts via the full
 // defaulted operator== (output and stats included), conflict histograms via
-// theirs. The wall-clock fields (wall_ns / read_wall_ns / commit_wall_ns /
-// prefetch_wall_ns) are deliberately absent: they are the only fields
-// speculation is allowed to move.
+// theirs. The wall-clock fields (read_wall_ns / commit_wall_ns) are
+// deliberately absent: they are the only fields speculation is allowed to
+// move.
 void ExpectDeterministicReportsIdentical(const std::vector<BlockReport>& off,
                                          const std::vector<BlockReport>& on,
                                          const std::string& label) {

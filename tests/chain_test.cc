@@ -2,7 +2,7 @@
 // cross-block speculation engaged) must be invisible to results. Per-block
 // state roots out of the incremental committer are bit-identical to a serial
 // per-block from-scratch StateRoot() recomputation for every executor, OS
-// thread count, queue depth, commit-overlap and speculation setting; virtual
+// thread count, queue depth, commit batch and speculation setting; virtual
 // makespans match direct (non-chained) execution; and shutdown — graceful or
 // aborted mid-stream, speculative block in flight or not — always leaves a
 // consistent committed prefix.
@@ -124,37 +124,33 @@ TEST_F(ChainRunnerTest, RootsBitIdenticalAcrossExecutorsThreadsBatchesAndQueueDe
   const Stream& stream = GetStream(9100, 5);
   for (ExecutorKind kind : kAllExecutors) {
     for (int os_threads : {1, 4, 16}) {
-      for (bool overlap : {true, false}) {
-        for (size_t batch : {size_t{1}, size_t{4}}) {
-          SCOPED_TRACE(testing::Message()
-                       << ExecutorKindName(kind) << " os_threads=" << os_threads
-                       << " overlap=" << overlap << " batch=" << batch);
-          ChainOptions options;
-          options.executor = kind;
-          options.exec.os_threads = os_threads;
-          options.overlap_commit = overlap;
-          // Rotate queue depth with thread count so a depth-1 (fully
-          // backpressured) pipeline is covered too.
-          options.queue_depth = os_threads == 4 ? 1 : 4;
-          // The committer re-roots shard-parallel at the same width the
-          // executor runs; batch 4 folds blocks into multi-block seals (with
-          // the accounting store attached so the seal path is exercised).
-          options.commit.os_threads = os_threads;
-          options.commit.batch_blocks = batch;
-          options.persist = batch == 1 ? PersistMode::kNone : PersistMode::kInMemory;
-          ChainRunner runner(options, stream.genesis);
-          for (const Block& block : stream.blocks) {
-            ASSERT_TRUE(runner.Submit(block));
-          }
-          ChainReport report = runner.Finish();
-          EXPECT_FALSE(report.aborted);
-          EXPECT_EQ(report.blocks_submitted, stream.blocks.size());
-          EXPECT_EQ(report.blocks_executed, stream.blocks.size());
-          ASSERT_EQ(report.blocks_committed, stream.blocks.size());
-          // 5 blocks seal as 5 singleton batches or 4+1 (drain flush).
-          EXPECT_EQ(report.commit_batches, batch == 1 ? 5u : 2u);
-          ExpectRootsMatch(report, stream);
+      for (size_t batch : {size_t{1}, size_t{4}}) {
+        SCOPED_TRACE(testing::Message() << ExecutorKindName(kind) << " os_threads=" << os_threads
+                                        << " batch=" << batch);
+        ChainOptions options;
+        options.executor = kind;
+        options.exec.os_threads = os_threads;
+        // Rotate queue depth with thread count so a depth-1 (fully
+        // backpressured) pipeline is covered too.
+        options.queue_depth = os_threads == 4 ? 1 : 4;
+        // The committer re-roots shard-parallel at the same width the
+        // executor runs; batch 4 folds blocks into multi-block seals (with
+        // the accounting store attached so the seal path is exercised).
+        options.commit.os_threads = os_threads;
+        options.commit.batch_blocks = batch;
+        options.persist = batch == 1 ? PersistMode::kNone : PersistMode::kInMemory;
+        ChainRunner runner(options, stream.genesis);
+        for (const Block& block : stream.blocks) {
+          ASSERT_TRUE(runner.Submit(block));
         }
+        ChainReport report = runner.Finish();
+        EXPECT_FALSE(report.aborted);
+        EXPECT_EQ(report.blocks_submitted, stream.blocks.size());
+        EXPECT_EQ(report.blocks_executed, stream.blocks.size());
+        ASSERT_EQ(report.blocks_committed, stream.blocks.size());
+        // 5 blocks seal as 5 singleton batches or 4+1 (drain flush).
+        EXPECT_EQ(report.commit_batches, batch == 1 ? 5u : 2u);
+        ExpectRootsMatch(report, stream);
       }
     }
   }

@@ -39,8 +39,7 @@ void ExpectSameReport(const BlockReport& a, const BlockReport& b, int os_threads
   EXPECT_EQ(a.oplog_entries, b.oplog_entries);
   EXPECT_EQ(a.instructions, b.instructions);
   // The prefetch hit/miss/wasted counters are computed by the deterministic
-  // block-order accounting pass, so they are part of the contract too; only
-  // prefetch_wall_ns (wall clock) may differ.
+  // block-order accounting pass, so they are part of the contract too.
   EXPECT_EQ(a.prefetch_hits, b.prefetch_hits);
   EXPECT_EQ(a.prefetch_misses, b.prefetch_misses);
   EXPECT_EQ(a.prefetch_wasted, b.prefetch_wasted);
@@ -275,6 +274,30 @@ TEST_F(DeterminismTest, ParallelReadPhaseMatchesSerialExecution) {
     pevm.Execute(block, s_pevm);
   }
   EXPECT_EQ(HexEncode(s_serial.StateRoot()), HexEncode(s_pevm.StateRoot()));
+}
+
+// The Figure-11 block drains one shared owner at `conflict_ratio`: every
+// conflict ParallelEVM records must be attributed to that owner's one hot key.
+TEST(ConflictAttributionTest, SingleHotOwnerCarriesEveryConflict) {
+  WorkloadConfig config;
+  config.seed = 930'000;
+  config.transactions_per_block = 100;
+  config.users = 500;
+  config.tokens = 6;
+  config.pools = 3;
+  ExecOptions options;
+  options.threads = 8;
+  options.os_threads = 4;
+  for (auto [ratio, conflicts] : {std::pair{0.1, 9}, {0.5, 49}, {0.9, 89}}) {
+    SCOPED_TRACE(testing::Message() << "conflict_ratio=" << ratio);
+    WorkloadGenerator gen(config);
+    WorldState state = gen.MakeGenesis();
+    ParallelEvmExecutor pevm(options);
+    BlockReport report = pevm.Execute(gen.MakeErc20ConflictBlock(100, ratio), state);
+    EXPECT_EQ(report.conflicts, conflicts);
+    ASSERT_EQ(report.conflict_keys.size(), 1u);
+    EXPECT_EQ(report.conflict_keys[0].conflicts, static_cast<uint64_t>(report.conflicts));
+  }
 }
 
 TEST(ThreadPoolTest, ParallelForVisitsEveryIndexExactlyOnce) {

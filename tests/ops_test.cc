@@ -662,15 +662,19 @@ TEST(OpsPlaneTest, EndpointsAnswerMidRunAndCountersAreMonotone) {
   EXPECT_EQ(JsonNumber(final_health.body, "blocks_committed"),
             static_cast<long long>(blocks.size()));
 
-  // POST /debug/trace exports to the requested path.
+  // GET /debug/trace returns the trace as the body; a POST naming a path is
+  // refused and writes nothing.
+  FetchResult trace = Get(port, "/debug/trace");
+  ASSERT_TRUE(trace.ok);
+  EXPECT_EQ(trace.status, 200);
+  EXPECT_NE(trace.body.find("\"traceEvents\""), std::string::npos);
   std::string trace_path =
       (std::filesystem::temp_directory_path() / "ops_test_trace.json").string();
   std::remove(trace_path.c_str());
-  FetchResult trace = Post(port, "/debug/trace", trace_path + "\n");
-  ASSERT_TRUE(trace.ok);
-  EXPECT_EQ(trace.status, 200);
-  EXPECT_TRUE(std::filesystem::exists(trace_path)) << trace.body;
-  std::remove(trace_path.c_str());
+  FetchResult post = Post(port, "/debug/trace", trace_path);
+  ASSERT_TRUE(post.ok);
+  EXPECT_EQ(post.status, 405);
+  EXPECT_FALSE(std::filesystem::exists(trace_path));
 }
 
 // The flight ring and ChainReport::blocks are the same final records, and

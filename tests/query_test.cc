@@ -592,10 +592,6 @@ QueryScenario MakeQueryScenario(uint64_t seed) {
   scenario.serve_threads = 1 + s % 4;
   scenario.query.seed = seed * 31 + 7;
   scenario.query.contract_zipf_s = 0.8 + 0.2 * (s % 3);
-  if (s % 4 == 0) {
-    scenario.query.burst = 16;  // Bursty arrivals (offsets used by the bench;
-    scenario.query.burst_gap_ns = 1'000;  // here they just shape the stream).
-  }
   return scenario;
 }
 

@@ -22,6 +22,7 @@
 #include "src/baselines/occ.h"
 #include "src/baselines/serial.h"
 #include "src/baselines/two_phase_locking.h"
+#include "src/chain/chain_runner.h"
 #include "src/core/parallel_evm.h"
 #include "src/exec/thread_pool.h"
 #include "src/telemetry/metrics.h"
@@ -267,6 +268,43 @@ TEST_F(TelemetryTest, ThreadNamesAppearInExport) {
   t.join();
   std::string json = telemetry::ChromeTraceJson();
   EXPECT_NE(json.find("\"my-named-thread\""), std::string::npos);
+}
+
+// --- A traced chain runner. -----------------------------------------------
+
+// A speculating runner over simulated storage runs every pipeline stage: each
+// must leave its chain.* span in the trace, and the trace and the metrics
+// snapshot taken after the run must both be well-formed JSON.
+using ChainTraceTest = TelemetryTest;
+
+TEST_F(ChainTraceTest, SpeculatingRunnerTraceNamesEveryStage) {
+#if defined(PEVM_TELEMETRY_DISABLED)
+  GTEST_SKIP() << "instrumentation sites compiled out (-DPEVM_TELEMETRY=OFF)";
+#endif
+  WorkloadConfig config;
+  config.seed = 4'100;
+  config.transactions_per_block = 48;
+  config.users = 300;
+  config.tokens = 5;
+  config.pools = 3;
+  WorkloadGenerator gen(config);
+  ChainOptions options;
+  options.executor = ExecutorKind::kParallelEvm;
+  options.speculate = true;
+  options.exec.prefetch_depth = 1;
+  options.exec.storage.cold_read_ns = 1'000;
+  ChainRunner runner(options, gen.MakeGenesis());
+  for (int b = 0; b < 4; ++b) {
+    ASSERT_TRUE(runner.Submit(gen.MakeBlock()));
+  }
+  ASSERT_EQ(runner.Finish().blocks_committed, 4u);
+  const std::string trace = telemetry::ChromeTraceJson();
+  for (const char* span : {"chain.warm", "chain.speculate", "chain.boundary_validate",
+                           "chain.exec", "chain.commit"}) {
+    EXPECT_NE(trace.find("\"" + std::string(span) + "\""), std::string::npos) << span;
+  }
+  EXPECT_TRUE(IsValidJson(trace));
+  EXPECT_TRUE(IsValidJson(telemetry::MetricsJson()));
 }
 
 // --- Metrics registry. ----------------------------------------------------
