@@ -10,10 +10,12 @@
 # and the interpreter's PUSH decoding under the code-cache differential
 # suites, the HTTP parser under seeded malformed input, the ops plane's
 # endpoints (the live trace is served as a GET response body; a POST to it is
-# refused and writes nothing), the chain runner's shutdown/abort teardown,
-# and its report: the per-block vectors are moved into ChainReport and
-# Finish/Abort return a reference into the runner, which the persistence and
-# resume suites read across reopened runners. The
+# refused and writes nothing), the prefetch suite (the warm-up batcher hands
+# its pending keys to pool workers by batch index, so their lifetime must
+# cover the whole ParallelFor), the chain runner's shutdown/abort teardown
+# (its warm pool included), and its report: the per-block vectors are moved
+# into ChainReport and Finish/Abort return a reference into the runner, which
+# the persistence and resume suites read across reopened runners. The
 # substrate suites run here too: UBSan checks the unrolled Keccak's rotations
 # and the limb shifts of U256 division, ASan the bounds of the RLP writers the
 # trie encodes nodes with.
@@ -26,7 +28,7 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR=${BUILD_DIR:-build-asan}
 # Parameterized suites carry their instantiation prefix ("Seeds/MptPropertyTest...").
-ASAN_REGEX=${ASAN_REGEX:-'^(Seeds/)?(BoundedQueueTest|SnapshotRegistryTest|QueryEngineTest|QueryInertnessTest|ChainRunnerTest|ChainShutdownTest|ChainPersistenceTest|ChainResumeTest|KvStoreTest|KvConcurrencyTest|KvCompactionTest|ShardedMpt|IncrementalStateTrieTest|WorldStateTest|StateViewTest|CodeCacheTest|CodeCacheDifferentialTest|HttpServerTest|FlightRecorderTest|WatchdogTest|OpsPlaneTest|KeccakTest|U256Test|U256PropertyTest|RlpTest|MptTest|MptPropertyTest|MptDeleteTest|MptApplyDiffPropertyTest|MptHarvestTest)'}
+ASAN_REGEX=${ASAN_REGEX:-'^(Seeds/)?(BoundedQueueTest|SnapshotRegistryTest|QueryEngineTest|QueryInertnessTest|ChainRunnerTest|ChainShutdownTest|ChainPersistenceTest|ChainResumeTest|KvStoreTest|KvConcurrencyTest|KvCompactionTest|ShardedMpt|IncrementalStateTrieTest|PrefetchPropertyTest|WorldStateTest|StateViewTest|CodeCacheTest|CodeCacheDifferentialTest|HttpServerTest|FlightRecorderTest|WatchdogTest|OpsPlaneTest|KeccakTest|U256Test|U256PropertyTest|RlpTest|MptTest|MptPropertyTest|MptDeleteTest|MptApplyDiffPropertyTest|MptHarvestTest)'}
 
 # Intentional process-lifetime singletons (the telemetry registry, memoized
 # test fixtures) are leaked by design; leak checking would only report those.
@@ -35,7 +37,7 @@ export ASAN_OPTIONS=${ASAN_OPTIONS:-detect_leaks=0}
 cmake -B "$BUILD_DIR" -S . -DPEVM_SANITIZE=address,undefined -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target bounded_queue_test query_test chain_test kv_test trie_test state_test \
-           codecache_test ops_test support_test recovery_test
+           codecache_test ops_test support_test recovery_test prefetch_test
 
 cd "$BUILD_DIR"
 selected=$(ctest -N -R "$ASAN_REGEX" | sed -n 's/^Total Tests: //p')

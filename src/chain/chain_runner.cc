@@ -112,6 +112,11 @@ ChainRunner::ChainRunner(const ChainOptions& options, const WorldState& genesis)
     snapshots_ = std::make_unique<SnapshotRegistry>(
         state_, seed_root_, recovered_blocks_, std::max<size_t>(1, options_.query_retain));
   }
+  if (store_ && options_.exec.prefetch_depth > 0) {
+    // The warm thread is the pool's calling thread, so the stage issues
+    // prefetch_workers batches at a time and starts no thread per block.
+    warm_pool_ = std::make_unique<ThreadPool>(std::max(store_->config().prefetch_workers, 1));
+  }
   spec_enabled_ = options_.speculate && executor_->seed_mode() != SpecMode::kSkip;
   if (spec_enabled_) {
     // Frozen speculation base: copied BEFORE the observer attaches, so the
@@ -278,13 +283,8 @@ void ChainRunner::WarmLoop() {
     item->record.transactions = block.transactions.size();
     {
       PEVM_TRACE_SPAN_ARG("chain.warm", "block", item->record.block_index);
-      if (store_ && options_.exec.prefetch_depth > 0 && !block.transactions.empty()) {
-        // Whole-block warm-up: depth >= request count means the driver never
-        // waits for NotifyStarted, so Drain (join-without-abort) is safe.
-        std::vector<PrefetchRequest> requests = BuildPrefetchRequests(block);
-        PrefetchEngine engine(*store_, std::move(requests),
-                              static_cast<int>(block.transactions.size()));
-        engine.Drain();
+      if (warm_pool_ && !block.transactions.empty()) {
+        item->record.warm_keys = WarmBlock(*store_, BuildPrefetchRequests(block), *warm_pool_);
       }
     }
     item->record.warm_busy_ns = busy.ElapsedNs();

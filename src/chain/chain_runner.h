@@ -3,9 +3,11 @@
 // the critical path):
 //
 //   stage 1 (warm)   — while block N executes, warm block N+1's predicted
-//                      access set into the executor's SimStore via the async
-//                      PrefetchEngine (cross-*block* prefetch; the per-tx
-//                      pipeline inside Execute is PR 2's).
+//                      access set into the executor's SimStore (cross-*block*
+//                      prefetch; the per-tx pipeline inside Execute is the
+//                      PrefetchEngine's). WarmBlock issues each distinct
+//                      predicted key once per block, in batches run on the
+//                      warm thread and the runner's warm pool.
 //   stage 2 (exec)   — run block N through any Executor on the shared
 //                      exec pipeline, journaling its write diff.
 //   stage 3 (commit) — fold block N-1's diff into a persistent incremental
@@ -351,6 +353,11 @@ class ChainRunner {
   std::unique_ptr<BoundedQueue<InFlight>> ready_;    // warm -> spec/exec.
   std::unique_ptr<BoundedQueue<InFlight>> specced_;  // spec -> exec (speculate only).
   std::unique_ptr<BoundedQueue<InFlight>> diffs_;    // exec -> commit.
+
+  // The warm stage's batch pool, prefetch_workers wide with the warm thread
+  // as its calling thread; engaged only when the stage warms (a store and
+  // prefetch_depth > 0).
+  std::unique_ptr<ThreadPool> warm_pool_;
 
   // Cross-block speculation plumbing, engaged only when spec_enabled_.
   // overlay_ observes every state_ write; spec_base_ is the frozen committed

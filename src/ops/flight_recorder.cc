@@ -70,6 +70,7 @@ std::string FlightRecorderJson(const FlightRecorder& recorder) {
     field("commit_wait_ns", a.commit_wait_ns);
     field("commit_apply_ns", a.commit_apply_ns);
     field("queue_to_durable_ns", a.queue_to_durable_ns);
+    field("warm_keys", a.warm_keys);
     field("commit_persist_ns", a.commit_persist_ns);
     field("sync_ns", a.sync_ns);
     field("nodes_written", a.nodes_written);

@@ -46,6 +46,11 @@ struct BlockRecord {
   uint64_t commit_apply_ns = 0;      // Diff replay + incremental re-root.
   uint64_t queue_to_durable_ns = 0;  // Left exec stage → its batch's seal returned.
 
+  // Distinct predicted keys the warm stage issued for the block (0 when it
+  // does not warm). Wall-clock class: the exec stage updates the hint table
+  // while the warm stage predicts from it.
+  uint64_t warm_keys = 0;
+
   // Durable seal (all zero under PersistMode::kNone; bytes but no fsyncs
   // under kInMemory). A seal's costs are shared by its whole batch and land
   // on the batch's last block; sync_ns ⊂ commit_persist_ns.

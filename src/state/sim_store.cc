@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstddef>
 
 #include "src/telemetry/trace.h"
 
@@ -23,6 +24,61 @@ void InjectLatency(uint64_t ns) {
   while (std::chrono::steady_clock::now() < deadline) {
   }
 }
+
+// The one batching routine behind PrefetchEngine and WarmBlock. Predicted
+// keys queue in transaction order, minus every key this run (one block) has
+// already queued: hint buckets are per (contract, selector), so the
+// transactions of a block that call the same function predict the same slots.
+// Once a full batch per pool thread is pending, the full batches go out
+// together, each one a SimStore::WarmBatch on a span of `pending_`.
+class WarmBatcher {
+ public:
+  WarmBatcher(SimStore& store, ThreadPool& pool)
+      : store_(store), pool_(pool), batch_size_(std::max<size_t>(store.config().batch_size, 1)) {}
+
+  void Add(const PrefetchRequest& request) {
+    for (const StateKey& key : store_.PredictSet(request)) {
+      if (issued_.insert(key).second) {
+        pending_.push_back(key);
+      }
+    }
+    if (pending_.size() >= batch_size_ * static_cast<size_t>(pool_.threads())) {
+      Issue(/*include_partial=*/false);
+    }
+  }
+
+  // Issues everything pending, the partial last batch included.
+  void Flush() { Issue(/*include_partial=*/true); }
+
+  uint64_t keys_issued() const { return keys_issued_; }
+  uint64_t batches_issued() const { return batches_issued_; }
+
+ private:
+  void Issue(bool include_partial) {
+    const size_t batches = include_partial ? (pending_.size() + batch_size_ - 1) / batch_size_
+                                           : pending_.size() / batch_size_;
+    if (batches == 0) {
+      return;
+    }
+    const size_t keys = std::min(batches * batch_size_, pending_.size());
+    pool_.ParallelFor(batches, [&](size_t b) {
+      const size_t begin = b * batch_size_;
+      store_.WarmBatch(std::span<const StateKey>(pending_).subspan(
+          begin, std::min(batch_size_, keys - begin)));
+    });
+    pending_.erase(pending_.begin(), pending_.begin() + static_cast<std::ptrdiff_t>(keys));
+    keys_issued_ += keys;
+    batches_issued_ += batches;
+  }
+
+  SimStore& store_;
+  ThreadPool& pool_;
+  const size_t batch_size_;
+  std::unordered_set<StateKey, StateKeyHash> issued_;
+  std::vector<StateKey> pending_;
+  uint64_t keys_issued_ = 0;
+  uint64_t batches_issued_ = 0;
+};
 
 }  // namespace
 
@@ -131,6 +187,15 @@ void SimStore::RecordObserved(const PrefetchRequest& request, const ReadSet& rea
   }
 }
 
+uint64_t WarmBlock(SimStore& store, std::span<const PrefetchRequest> requests, ThreadPool& pool) {
+  WarmBatcher batcher(store, pool);
+  for (const PrefetchRequest& request : requests) {
+    batcher.Add(request);
+  }
+  batcher.Flush();
+  return batcher.keys_issued();
+}
+
 PrefetchEngine::PrefetchEngine(SimStore& store, std::vector<PrefetchRequest> requests,
                                int depth)
     : store_(store),
@@ -162,52 +227,23 @@ void PrefetchEngine::Drain() {
 void PrefetchEngine::DriverLoop() {
   PEVM_TRACE_THREAD_NAME("prefetch-driver");
   PEVM_TRACE_SPAN_ARG("prefetch.drive", "txs", requests_.size());
-  const size_t batch_size = std::max<size_t>(store_.config().batch_size, 1);
-  const size_t max_pending = static_cast<size_t>(pool_.threads());
-  std::vector<std::vector<StateKey>> pending;
-  std::vector<StateKey> current;
-
-  auto flush = [&](bool include_partial) {
-    if (include_partial && !current.empty()) {
-      pending.push_back(std::move(current));
-      current.clear();
-    }
-    if (pending.empty()) {
-      return;
-    }
-    for (const std::vector<StateKey>& batch : pending) {
-      keys_issued_ += batch.size();
-    }
-    batches_issued_ += pending.size();
-    pool_.ParallelFor(pending.size(),
-                      [&](size_t b) { store_.WarmBatch(std::span<const StateKey>(pending[b])); });
-    pending.clear();
-  };
-
+  WarmBatcher batcher(store_, pool_);
   for (size_t j = 0; j < requests_.size(); ++j) {
     // Pacing: stay at most `depth_` transactions ahead of the execution
     // frontier. While stalled, push out whatever is already batched.
     while (!stop_.load(std::memory_order_acquire) &&
            j >= progress_.load(std::memory_order_acquire) + depth_) {
-      flush(/*include_partial=*/true);
+      batcher.Flush();
       std::this_thread::yield();
     }
     if (stop_.load(std::memory_order_acquire)) {
       break;  // Abort: execution already passed everything we could warm.
     }
-    std::vector<StateKey> predicted = store_.PredictSet(requests_[j]);
-    for (StateKey& key : predicted) {
-      current.push_back(std::move(key));
-      if (current.size() >= batch_size) {
-        pending.push_back(std::move(current));
-        current.clear();
-      }
-    }
-    if (pending.size() >= max_pending) {
-      flush(/*include_partial=*/false);
-    }
+    batcher.Add(requests_[j]);
   }
-  flush(/*include_partial=*/true);
+  batcher.Flush();
+  keys_issued_ = batcher.keys_issued();
+  batches_issued_ = batcher.batches_issued();
 }
 
 }  // namespace pevm

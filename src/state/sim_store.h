@@ -4,10 +4,12 @@
 // bottleneck (paper Table 2, §6.3 "State Prefetching") is the LevelDB-like
 // latency of every cold committed-state read. SimStore models that latency on
 // the *wall clock only*: a thread-safe resident-key set decides whether a
-// read pays the cold or the warm delay, and a background PrefetchEngine —
-// running on its own src/exec ThreadPool — warms predicted access sets ahead
-// of speculation with batched reads (one amortised batch latency instead of a
-// cold miss per key).
+// read pays the cold or the warm delay, and predicted access sets are warmed
+// ahead of speculation with batched reads (one amortised batch latency
+// instead of a cold miss per key), each distinct key once per block. Two
+// callers share the batching: the background PrefetchEngine, paced against
+// execution on its own src/exec ThreadPool, and WarmBlock, the chain
+// runner's synchronous whole-block warm-up on a pool the runner owns.
 //
 // Determinism contract (DESIGN.md §3.2): nothing in this file may influence
 // execution results or the virtual-time oracle. SimStore never stores values
@@ -188,12 +190,20 @@ class SimStoreReader final : public BaseReader {
   const WorldState* state_;
 };
 
+// Whole-block warm-up on the calling thread and `pool`: predicts every
+// request's access set against the hint table and issues each distinct key
+// once, in batches of config().batch_size, one batch per pool thread at a
+// time. Returns when every batch has been warmed; the result is the number of
+// keys issued. The pool must not be running another job.
+uint64_t WarmBlock(SimStore& store, std::span<const PrefetchRequest> requests, ThreadPool& pool);
+
 // The asynchronous prefetch pipeline: a driver thread walks the block's
 // prefetch requests in transaction order, staying at most `depth`
 // transactions ahead of execution (NotifyStarted feeds the execution
 // frontier), predicts each transaction's access set against the hint table,
-// and issues the keys as batched warm-ups across an owned ThreadPool — so the
-// warm-up for transaction i+depth overlaps the execution of transaction i.
+// and issues the keys not yet issued for this block as batched warm-ups
+// across an owned ThreadPool — so the warm-up for transaction i+depth
+// overlaps the execution of transaction i.
 //
 // Lifecycle: construction starts the driver; Finish() (or the destructor)
 // aborts any not-yet-issued warm-ups and joins. Drain() instead waits for the

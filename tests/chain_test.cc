@@ -11,11 +11,14 @@
 // are load-bearing: CI and scripts/check_tsan.sh select tests by them.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <map>
 #include <random>
+#include <set>
 #include <thread>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -205,6 +208,26 @@ TEST_F(ChainRunnerTest, StorageSimAndCrossBlockPrefetchKeepRootsIdentical) {
   // The warm stage actually warmed something.
   EXPECT_EQ(report.warm.blocks, stream.blocks.size());
   EXPECT_GT(report.warm.busy_ns, 0u);
+  // Each record counts the distinct keys its block's warm-up issued: every
+  // envelope key (sender balance and nonce, recipient balance), plus at most
+  // one full hint bucket per (recipient, selector) the block calls.
+  ASSERT_EQ(report.blocks.size(), stream.blocks.size());
+  for (size_t b = 0; b < stream.blocks.size(); ++b) {
+    std::unordered_set<StateKey, StateKeyHash> envelope;
+    std::set<std::pair<std::array<uint8_t, Address::kSize>, uint32_t>> buckets;
+    for (const PrefetchRequest& r : BuildPrefetchRequests(stream.blocks[b])) {
+      envelope.insert(StateKey::Balance(r.from));
+      envelope.insert(StateKey::Nonce(r.from));
+      envelope.insert(StateKey::Balance(r.to));
+      if (r.has_selector) {
+        buckets.emplace(r.to.bytes(), r.selector);
+      }
+    }
+    const uint64_t warm_keys = report.blocks[b].warm_keys;
+    EXPECT_GE(warm_keys, envelope.size()) << "block " << b;
+    EXPECT_LE(warm_keys, envelope.size() + options.exec.storage.max_hint_keys * buckets.size())
+        << "block " << b;
+  }
 }
 
 // Cross-block speculation under real thread interleaving (this suite runs
@@ -408,6 +431,20 @@ TEST_F(ChainShutdownTest, AbortWhileSpeculativeBlockInFlight) {
   options.speculate = true;
   options.exec.storage.cold_read_ns = 50'000;  // >= SimStore's sleep threshold.
   options.exec.storage.warm_read_ns = 200;
+  RunAbortMidStream(options, GetStream(9500, 12));
+}
+
+// Same plug-pull with the warm stage doing real work: every batch sleeps, so
+// the abort can land while the warm thread and the runner's warm pool are
+// inside a block. The pool's teardown must neither hang nor outlive the
+// batches it was handed.
+TEST_F(ChainShutdownTest, AbortWhileWarmStageIsMidBlock) {
+  ChainOptions options;
+  options.executor = ExecutorKind::kParallelEvm;
+  options.exec.os_threads = 4;
+  options.queue_depth = 2;
+  options.exec.prefetch_depth = 1;
+  options.exec.storage.batch_base_ns = 50'000;  // >= SimStore's sleep threshold.
   RunAbortMidStream(options, GetStream(9500, 12));
 }
 

@@ -7,6 +7,7 @@
 
 #include <optional>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "src/baselines/block_stm.h"
@@ -277,8 +278,10 @@ TEST(PrefetchPropertyTest, HintCapKeepsCountersOsThreadInvariant) {
   EXPECT_EQ(one, run(16));
 }
 
-TEST(PrefetchPropertyTest, EngineWithDepthCoveringBlockWarmsEveryPredictedKey) {
-  SimStore store;
+// Forty transfers from distinct senders to five recipients, without a
+// selector: 120 predicted keys, 85 of them distinct (each sender's balance
+// and nonce, each recipient's balance).
+std::vector<PrefetchRequest> FortyTransfers() {
   std::vector<PrefetchRequest> requests;
   for (int i = 0; i < 40; ++i) {
     PrefetchRequest r;
@@ -286,21 +289,65 @@ TEST(PrefetchPropertyTest, EngineWithDepthCoveringBlockWarmsEveryPredictedKey) {
     r.to = Address::FromId(200 + i % 5);
     requests.push_back(r);
   }
-  size_t predicted_total = 0;
-  std::vector<StateKey> all_predicted;
+  return requests;
+}
+
+std::unordered_set<StateKey, StateKeyHash> DistinctPredicted(
+    const SimStore& store, const std::vector<PrefetchRequest>& requests) {
+  std::unordered_set<StateKey, StateKeyHash> distinct;
   for (const PrefetchRequest& r : requests) {
-    std::vector<StateKey> p = store.PredictSet(r);
-    predicted_total += p.size();
-    all_predicted.insert(all_predicted.end(), p.begin(), p.end());
+    for (const StateKey& key : store.PredictSet(r)) {
+      distinct.insert(key);
+    }
   }
+  return distinct;
+}
+
+TEST(PrefetchPropertyTest, EngineWithDepthCoveringBlockWarmsEveryPredictedKey) {
+  SimStore store;
+  std::vector<PrefetchRequest> requests = FortyTransfers();
+  std::unordered_set<StateKey, StateKeyHash> distinct = DistinctPredicted(store, requests);
+  ASSERT_EQ(distinct.size(), 85u);
 
   PrefetchEngine engine(store, requests, /*depth=*/static_cast<int>(requests.size()));
   engine.Drain();  // Depth covers the whole block: no pacing needed.
-  EXPECT_EQ(engine.keys_issued(), predicted_total);
+  // Each distinct key is issued once, however many transactions predict it.
+  EXPECT_EQ(engine.keys_issued(), distinct.size());
   EXPECT_GE(engine.batches_issued(), 1u);
-  for (const StateKey& key : all_predicted) {
+  for (const StateKey& key : distinct) {
     EXPECT_TRUE(store.IsResident(key)) << key.ToString();
   }
+}
+
+// Pacing flushes partial batches while the driver waits on the execution
+// frontier; keys flushed before a stall still count as issued for the block.
+TEST(PrefetchPropertyTest, PacedEngineIssuesEachDistinctKeyOnce) {
+  SimStore store;
+  std::vector<PrefetchRequest> requests = FortyTransfers();
+  std::unordered_set<StateKey, StateKeyHash> distinct = DistinctPredicted(store, requests);
+
+  PrefetchEngine engine(store, requests, /*depth=*/1);
+  engine.NotifyStarted(requests.size() - 1);
+  engine.Drain();  // The frontier passed every request: pacing can finish.
+  EXPECT_EQ(engine.keys_issued(), distinct.size());
+  for (const StateKey& key : distinct) {
+    EXPECT_TRUE(store.IsResident(key)) << key.ToString();
+  }
+}
+
+// The chain runner's synchronous warm-up shares the engine's batching: the
+// caller plus one pool worker issue the same distinct keys.
+TEST(PrefetchPropertyTest, WarmBlockIssuesEachDistinctKeyOnce) {
+  SimStore store;
+  std::vector<PrefetchRequest> requests = FortyTransfers();
+  std::unordered_set<StateKey, StateKeyHash> distinct = DistinctPredicted(store, requests);
+
+  ThreadPool pool(2);
+  EXPECT_EQ(WarmBlock(store, requests, pool), distinct.size());
+  for (const StateKey& key : distinct) {
+    EXPECT_TRUE(store.IsResident(key)) << key.ToString();
+  }
+  EXPECT_EQ(store.warmed_keys(), distinct.size());
 }
 
 TEST(PrefetchPropertyTest, EngineFinishWithoutProgressDoesNotHang) {

@@ -272,28 +272,36 @@ TEST_F(TelemetryTest, ThreadNamesAppearInExport) {
 
 // --- A traced chain runner. -----------------------------------------------
 
-// A speculating runner over simulated storage runs every pipeline stage: each
-// must leave its chain.* span in the trace, and the trace and the metrics
-// snapshot taken after the run must both be well-formed JSON.
+// A speculating runner over simulated storage runs every pipeline stage.
 using ChainTraceTest = TelemetryTest;
 
-TEST_F(ChainTraceTest, SpeculatingRunnerTraceNamesEveryStage) {
-#if defined(PEVM_TELEMETRY_DISABLED)
-  GTEST_SKIP() << "instrumentation sites compiled out (-DPEVM_TELEMETRY=OFF)";
-#endif
+WorkloadConfig TracedStreamConfig() {
   WorkloadConfig config;
   config.seed = 4'100;
   config.transactions_per_block = 48;
   config.users = 300;
   config.tokens = 5;
   config.pools = 3;
-  WorkloadGenerator gen(config);
+  return config;
+}
+
+ChainOptions TracedRunnerOptions() {
   ChainOptions options;
   options.executor = ExecutorKind::kParallelEvm;
   options.speculate = true;
   options.exec.prefetch_depth = 1;
   options.exec.storage.cold_read_ns = 1'000;
-  ChainRunner runner(options, gen.MakeGenesis());
+  return options;
+}
+
+// Each stage must leave its chain.* span in the trace, and the trace and the
+// metrics snapshot taken after the run must both be well-formed JSON.
+TEST_F(ChainTraceTest, SpeculatingRunnerTraceNamesEveryStage) {
+#if defined(PEVM_TELEMETRY_DISABLED)
+  GTEST_SKIP() << "instrumentation sites compiled out (-DPEVM_TELEMETRY=OFF)";
+#endif
+  WorkloadGenerator gen(TracedStreamConfig());
+  ChainRunner runner(TracedRunnerOptions(), gen.MakeGenesis());
   for (int b = 0; b < 4; ++b) {
     ASSERT_TRUE(runner.Submit(gen.MakeBlock()));
   }
@@ -305,6 +313,31 @@ TEST_F(ChainTraceTest, SpeculatingRunnerTraceNamesEveryStage) {
   }
   EXPECT_TRUE(IsValidJson(trace));
   EXPECT_TRUE(IsValidJson(telemetry::MetricsJson()));
+}
+
+// Every thread that records an event registers a trace ring, so rings count
+// threads: the warm stage batches on the warm thread and the runner's warm
+// pool, and a runner registers as many rings for 8 blocks as for 2.
+TEST_F(ChainTraceTest, WarmStageStartsNoThreadPerBlock) {
+#if defined(PEVM_TELEMETRY_DISABLED)
+  GTEST_SKIP() << "instrumentation sites compiled out (-DPEVM_TELEMETRY=OFF)";
+#endif
+  auto rings_added = [](int blocks) {
+    const size_t before = telemetry::RegisteredThreads();
+    {
+      WorkloadGenerator gen(TracedStreamConfig());
+      ChainRunner runner(TracedRunnerOptions(), gen.MakeGenesis());
+      for (int b = 0; b < blocks; ++b) {
+        EXPECT_TRUE(runner.Submit(gen.MakeBlock()));
+      }
+      EXPECT_EQ(runner.Finish().blocks_committed, static_cast<uint64_t>(blocks));
+    }
+    return telemetry::RegisteredThreads() - before;
+  };
+  rings_added(1);  // Process-wide pools register their rings once, on first use.
+  const size_t two_blocks = rings_added(2);
+  EXPECT_GT(two_blocks, 0u);  // The stage threads did record.
+  EXPECT_EQ(rings_added(8), two_blocks);
 }
 
 // --- Metrics registry. ----------------------------------------------------
