@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# CI entry guarding the concurrent read phase, the async prefetch pipeline,
-# the chain runner's block pipeline (warm, speculate, execute and commit
+# CI entry guarding the concurrent read phase, the block warm-up
+# (SimStore::WarmBlock and concurrent ParallelFor callers on one pool), the
+# chain runner's block pipeline (warm, speculate, execute and commit
 # threads), the shard-parallel committer (ShardedMpt per-shard apply/harvest +
 # batched IncrementalStateTrie commits), the KV store's writer / reader /
 # background-compaction concurrency, the telemetry recorder's lock-free rings

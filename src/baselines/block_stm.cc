@@ -144,18 +144,7 @@ BlockReport BlockStmExecutor::Execute(const Block& block, WorldState& state) {
   if (n == 0) {
     return report;
   }
-  if (store && !options_.external_warmup) {
-    store->BeginBlock();
-  }
-  const bool account_prefetch = store && options_.prefetch_depth > 0;
-  std::vector<PrefetchRequest> requests;
-  std::optional<PrefetchEngine> engine;
-  if (account_prefetch) {
-    requests = BuildPrefetchRequests(block);
-    if (!options_.external_warmup) {
-      engine.emplace(*store, requests, options_.prefetch_depth);
-    }
-  }
+  BlockPrefetch prefetch(block, options_, store);
 
   MvMemory mv;
   std::vector<TxState> txs(static_cast<size_t>(n));
@@ -184,9 +173,6 @@ BlockReport BlockStmExecutor::Execute(const Block& block, WorldState& state) {
   // --- Task bodies (real execution/validation; duration from the model). ---
   auto run_execute = [&](InFlight& fl) -> uint64_t {
     const Transaction& tx = block.transactions[static_cast<size_t>(fl.task.txn)];
-    if (engine) {
-      engine->NotifyStarted(static_cast<size_t>(fl.task.txn));
-    }
     uint64_t penalty = txs[static_cast<size_t>(fl.task.txn)].abort_penalty;
     txs[static_cast<size_t>(fl.task.txn)].abort_penalty = 0;
     MvReader reader(mv, state, store, fl.task.txn);
@@ -376,12 +362,7 @@ BlockReport BlockStmExecutor::Execute(const Block& block, WorldState& state) {
     inflight.push(std::move(fl));
   }
 
-  // The prefetcher must be quiescent before the commit sweep below starts
-  // mutating `state` and the accounting pass updates the hint table.
-  if (engine) {
-    engine->Finish();
-  }
-  if (account_prefetch) {
+  if (prefetch.accounting()) {
     std::vector<ReadSet> observed(static_cast<size_t>(n));
     for (int j = 0; j < n; ++j) {
       for (const ReadRecord& r : txs[static_cast<size_t>(j)].reads) {
@@ -394,7 +375,7 @@ BlockReport BlockStmExecutor::Execute(const Block& block, WorldState& state) {
     for (int j = 0; j < n; ++j) {
       reads[static_cast<size_t>(j)] = &observed[static_cast<size_t>(j)];
     }
-    AccountPrefetch(*store, requests, reads, report);
+    prefetch.Account(reads, report);
   }
   report.read_wall_ns = read_timer.ElapsedNs();
 

@@ -18,25 +18,11 @@ BlockReport SerialExecutor::Execute(const Block& block, WorldState& state) {
   size_t n = block.transactions.size();
   report.receipts.reserve(n);
 
-  // Serial execution still benefits from the async pipeline: the engine
-  // warms transaction i + depth's predicted keys while transaction i
-  // executes (this is the paper's Table-2 "Prefetch" row, made wall-clock).
-  // In chain mode (external_warmup) the runner's stage 1 already warmed the
-  // block, so only the deterministic accounting remains.
-  if (store && !options_.external_warmup) {
-    store->BeginBlock();
-  }
-  const bool account_prefetch = store && options_.prefetch_depth > 0 && n > 0;
-  std::vector<PrefetchRequest> requests;
-  std::optional<PrefetchEngine> engine;
-  if (account_prefetch) {
-    requests = BuildPrefetchRequests(block);
-    if (!options_.external_warmup) {
-      engine.emplace(*store, requests, options_.prefetch_depth);
-    }
-  }
+  // Serial execution benefits from the warm-up too: this is the paper's
+  // Table-2 "Prefetch" row, made wall-clock.
+  BlockPrefetch prefetch(block, options_, store);
   std::vector<ReadSet> observed;  // Per-tx read sets for prefetch accounting.
-  if (account_prefetch) {
+  if (prefetch.accounting()) {
     observed.reserve(n);
   }
 
@@ -44,9 +30,6 @@ BlockReport SerialExecutor::Execute(const Block& block, WorldState& state) {
   U256 fees;
   for (size_t i = 0; i < n; ++i) {
     const Transaction& tx = block.transactions[i];
-    if (engine) {
-      engine->NotifyStarted(i);
-    }
     std::optional<SimStoreReader> reader;
     std::optional<StateView> view;  // In-place: StateView is self-referential.
     if (store) {
@@ -60,7 +43,7 @@ BlockReport SerialExecutor::Execute(const Block& block, WorldState& state) {
     uint64_t warm = TotalReadOps(receipt.stats) - std::min(TotalReadOps(receipt.stats), cold);
     t += cost.ExecutionCost(receipt.stats, cold, warm, /*with_ssa=*/false);
     report.instructions += receipt.stats.instructions;
-    if (account_prefetch) {
+    if (prefetch.accounting()) {
       observed.push_back(view->read_set());
     }
     if (receipt.valid) {
@@ -70,15 +53,12 @@ BlockReport SerialExecutor::Execute(const Block& block, WorldState& state) {
     }
     report.receipts.push_back(std::move(receipt));
   }
-  if (engine) {
-    engine->Finish();
-  }
-  if (account_prefetch) {
+  if (prefetch.accounting()) {
     std::vector<const ReadSet*> reads(n, nullptr);
     for (size_t i = 0; i < n; ++i) {
       reads[i] = &observed[i];
     }
-    AccountPrefetch(*store, requests, reads, report);
+    prefetch.Account(reads, report);
   }
   CreditCoinbase(state, block.context.coinbase, fees);
   report.makespan_ns = t;

@@ -112,11 +112,6 @@ ChainRunner::ChainRunner(const ChainOptions& options, const WorldState& genesis)
     snapshots_ = std::make_unique<SnapshotRegistry>(
         state_, seed_root_, recovered_blocks_, std::max<size_t>(1, options_.query_retain));
   }
-  if (store_ && options_.exec.prefetch_depth > 0) {
-    // The warm thread is the pool's calling thread, so the stage issues
-    // prefetch_workers batches at a time and starts no thread per block.
-    warm_pool_ = std::make_unique<ThreadPool>(std::max(store_->config().prefetch_workers, 1));
-  }
   spec_enabled_ = options_.speculate && executor_->seed_mode() != SpecMode::kSkip;
   if (spec_enabled_) {
     // Frozen speculation base: copied BEFORE the observer attaches, so the
@@ -271,6 +266,7 @@ const ChainReport& ChainRunner::Abort() {
 void ChainRunner::WarmLoop() {
   PEVM_TRACE_THREAD_NAME("chain-warm");
   WallTimer stage;
+  const bool warm = store_ && options_.exec.prefetch_depth > 0;
   while (std::optional<InFlight> item = input_->Pop()) {
     warm_in_.fetch_add(1, std::memory_order_relaxed);
     WallTimer busy;
@@ -283,8 +279,8 @@ void ChainRunner::WarmLoop() {
     item->record.transactions = block.transactions.size();
     {
       PEVM_TRACE_SPAN_ARG("chain.warm", "block", item->record.block_index);
-      if (warm_pool_ && !block.transactions.empty()) {
-        item->record.warm_keys = WarmBlock(*store_, BuildPrefetchRequests(block), *warm_pool_);
+      if (warm) {
+        item->record.warm_keys = store_->WarmBlock(BuildPrefetchRequests(block));
       }
     }
     item->record.warm_busy_ns = busy.ElapsedNs();

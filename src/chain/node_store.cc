@@ -29,14 +29,6 @@ void InMemoryNodeStore::PutNode(const Hash256& hash, BytesView encoding) {
   pending_bytes_ += FramedPutBytes(1 + hash.size(), encoding.size());
 }
 
-std::optional<Bytes> InMemoryNodeStore::GetNode(const Hash256& hash) {
-  auto it = nodes_.find(hash);
-  if (it == nodes_.end()) {
-    return std::nullopt;
-  }
-  return it->second;
-}
-
 void InMemoryNodeStore::PutAccount(const Address& address, const U256& balance, uint64_t nonce) {
   std::string key = kvkeys::AccountKey(address);
   pending_bytes_ += FramedPutBytes(key.size(), 40);
@@ -97,10 +89,6 @@ void KvNodeStore::PutNode(const Hash256& hash, BytesView encoding) {
   }
   pending_.Put(key, encoding);
   ++pending_nodes_;
-}
-
-std::optional<Bytes> KvNodeStore::GetNode(const Hash256& hash) {
-  return store_->Get(kvkeys::NodeKey(hash));
 }
 
 void KvNodeStore::PutAccount(const Address& address, const U256& balance, uint64_t nonce) {

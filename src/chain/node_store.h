@@ -54,7 +54,6 @@ class NodeStore {
   // skip is crash-safe: batch rollback is always a suffix drop, so any node a
   // surviving root references was durably committed no later than that root.
   virtual void PutNode(const Hash256& hash, BytesView encoding) = 0;
-  virtual std::optional<Bytes> GetNode(const Hash256& hash) = 0;
 
   // Flat-state mirror (what recovery reads).
   virtual void PutAccount(const Address& address, const U256& balance, uint64_t nonce) = 0;
@@ -86,7 +85,6 @@ class NodeStore {
 class InMemoryNodeStore final : public NodeStore {
  public:
   void PutNode(const Hash256& hash, BytesView encoding) override;
-  std::optional<Bytes> GetNode(const Hash256& hash) override;
   void PutAccount(const Address& address, const U256& balance, uint64_t nonce) override;
   void PutStorage(const Address& address, const U256& slot, const U256& value) override;
   void PutCode(const Address& address, BytesView code) override;
@@ -119,7 +117,6 @@ class KvNodeStore final : public NodeStore {
   explicit KvNodeStore(KvStore& store) : store_(&store) {}
 
   void PutNode(const Hash256& hash, BytesView encoding) override;
-  std::optional<Bytes> GetNode(const Hash256& hash) override;
   void PutAccount(const Address& address, const U256& balance, uint64_t nonce) override;
   void PutStorage(const Address& address, const U256& slot, const U256& value) override;
   void PutCode(const Address& address, BytesView code) override;

@@ -34,7 +34,7 @@ class ParallelEvmExecutor final : public Executor {
  private:
   ExecOptions options_;
   bool pre_execution_;
-  // Simulated-storage front-end (wall-clock latency + async prefetch); lives
+  // Simulated-storage front-end (wall-clock latency + block warm-up); lives
   // across blocks so the access-hint table learns. Null unless enabled.
   std::unique_ptr<SimStore> sim_store_;
 };

@@ -38,12 +38,13 @@ struct ExecOptions {
   // roots, receipts, counters and the virtual makespan are bit-identical for
   // every value, including 1.
   int os_threads = 0;
-  // Asynchronous storage prefetch pipeline (wall clock): how many
-  // transactions ahead of execution the background PrefetchEngine may warm
-  // the simulated storage cache. 0 disables the engine. Like os_threads this
-  // can only move the wall-clock BlockReport fields; the prefetch_* hit/miss
-  // counters it unlocks are deterministic functions of the predicted access
-  // sets, computed on the block-order pass.
+  // Storage prefetch (wall clock): any positive value turns on the block
+  // warm-up (SimStore::WarmBlock warms the whole block's predicted access set
+  // before its first read) and the prefetch accounting; the number itself is
+  // no longer read. 0 disables both. Like os_threads this can only move the
+  // wall-clock BlockReport fields; the prefetch_* hit/miss counters it
+  // unlocks are deterministic functions of the predicted access sets,
+  // computed on the block-order pass.
   int prefetch_depth = 0;
   // Simulated storage latency/batching behind the prefetcher. All-zero
   // latencies (the default) keep the store as pure residency bookkeeping.
@@ -53,7 +54,7 @@ struct ExecOptions {
   CodeCacheConfig code_cache;
   // Chain-runner handoff (src/chain): when true, a ChainRunner owns the
   // SimStore lifecycle — Execute neither clears residency (BeginBlock) nor
-  // starts its own PrefetchEngine, because the chain's warm-up stage already
+  // warms the block (WarmBlock), because the chain's warm-up stage already
   // warmed this block while the previous one executed. The deterministic
   // prefetch hit/miss/wasted accounting and the hint-table learning still run
   // on the block-order pass, so those counters are bit-identical to a
@@ -132,7 +133,7 @@ struct BlockReport {
   uint64_t oplog_entries = 0;
   uint64_t instructions = 0;
 
-  // Async-prefetch accounting (all zero unless ExecOptions::prefetch_depth
+  // Prefetch accounting (all zero unless ExecOptions::prefetch_depth
   // > 0). hits/misses classify each transaction's observed reads against its
   // predicted access set; wasted counts predicted keys no transaction read.
   // All three are computed on the deterministic block-order pass, so they are
@@ -216,7 +217,7 @@ class StateCache {
 };
 
 // Lazily instantiates an executor's simulated-storage front-end when the
-// wall-clock storage model or the async prefetch pipeline is enabled;
+// wall-clock storage model or the block warm-up is enabled;
 // returns nullptr (and the executor skips all SimStore plumbing) otherwise.
 // The store lives across Execute calls so the access-hint table learned in
 // one block predicts the next.

@@ -31,7 +31,8 @@ bool StateKeyLess(const StateKey& a, const StateKey& b) {
 
 // Worker pools are expensive to spawn, so one pool per requested width is
 // kept for the process lifetime. Pools are stateless between jobs, so reuse
-// across blocks and executors is safe.
+// across blocks and executors is safe; read phases that run at once on
+// different threads queue on the pool's job mutex.
 ThreadPool& PoolFor(int width) {
   static std::mutex mu;
   static std::unordered_map<int, std::unique_ptr<ThreadPool>> pools;
@@ -152,29 +153,11 @@ ReadPhase RunReadPhase(const Block& block, const WorldState& state,
   phase.specs.resize(n);
   phase.durations.assign(n, 0);
 
-  if (store && !options.external_warmup) {
-    store->BeginBlock();
-  }
-  // The deterministic prefetch accounting (and hint learning) runs whenever
-  // the async pipeline is requested; the engine itself only when this call
-  // owns the warm-up (a chain runner's stage 1 already warmed the block).
-  const bool account_prefetch = store && options.prefetch_depth > 0 && n > 0;
-  std::vector<PrefetchRequest> requests;
-  std::optional<PrefetchEngine> engine;
-  if (account_prefetch) {
-    requests = BuildPrefetchRequests(block);
-    if (!options.external_warmup) {
-      engine.emplace(*store, requests, options.prefetch_depth);
-    }
-  }
+  BlockPrefetch prefetch(block, options, store);
 
   // Parallel section: each index touches only the read-only committed state
-  // and its own Speculation slot (the prefetch engine warms the store's
-  // residency set concurrently, but never values).
+  // and its own Speculation slot.
   auto speculate_one = [&](size_t i) {
-    if (engine) {
-      engine->NotifyStarted(i);
-    }
     if (modes[i] == SpecMode::kSkip) {
       return;
     }
@@ -201,9 +184,6 @@ ReadPhase RunReadPhase(const Block& block, const WorldState& state,
   } else {
     PoolFor(width).ParallelFor(n, speculate_one);
   }
-  if (engine) {
-    engine->Finish();
-  }
 
   // Order-dependent accounting runs strictly in block order on this thread,
   // so cold/warm classification and report counters are identical for every
@@ -220,14 +200,14 @@ ReadPhase RunReadPhase(const Block& block, const WorldState& state,
     report.oplog_entries += spec.log.size();
     report.instructions += spec.receipt.stats.instructions;
   }
-  if (account_prefetch) {
+  if (prefetch.accounting()) {
     std::vector<const ReadSet*> reads(n, nullptr);
     for (size_t i = 0; i < n; ++i) {
       if (modes[i] != SpecMode::kSkip) {
         reads[i] = &phase.specs[i].reads;
       }
     }
-    AccountPrefetch(*store, requests, reads, report);
+    prefetch.Account(reads, report);
   }
   report.read_wall_ns += timer.ElapsedNs();
   return phase;
@@ -259,11 +239,14 @@ std::vector<PrefetchRequest> BuildPrefetchRequests(const Block& block) {
   return requests;
 }
 
+namespace {
+
+// The deterministic prefetch accounting behind BlockPrefetch::Account.
 void AccountPrefetch(SimStore& store, const std::vector<PrefetchRequest>& requests,
                      const std::vector<const ReadSet*>& reads_per_tx, BlockReport& report) {
   size_t n = requests.size();
   // Predictions are computed for every transaction *before* any hint update,
-  // matching what the engine (which ran against the block-start hint table)
+  // matching what WarmBlock (which ran against the block-start hint table)
   // actually issued.
   std::vector<std::vector<StateKey>> predicted(n);
   for (size_t i = 0; i < n; ++i) {
@@ -296,6 +279,29 @@ void AccountPrefetch(SimStore& store, const std::vector<PrefetchRequest>& reques
     if (reads_per_tx[i]) {
       store.RecordObserved(requests[i], *reads_per_tx[i]);
     }
+  }
+}
+
+}  // namespace
+
+BlockPrefetch::BlockPrefetch(const Block& block, const ExecOptions& options, SimStore* store) {
+  if (!store) {
+    return;
+  }
+  if (options.prefetch_depth > 0 && !block.transactions.empty()) {
+    store_ = store;
+    requests_ = BuildPrefetchRequests(block);
+  }
+  if (!options.external_warmup) {
+    store->BeginBlock();
+    store->WarmBlock(requests_);
+  }
+}
+
+void BlockPrefetch::Account(const std::vector<const ReadSet*>& reads_per_tx,
+                            BlockReport& report) {
+  if (store_) {
+    AccountPrefetch(*store_, requests_, reads_per_tx, report);
   }
 }
 

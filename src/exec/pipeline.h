@@ -80,13 +80,11 @@ struct ReadPhase {
 // counters) as a deterministic block-order pass on the calling thread. Adds
 // the elapsed wall time to report.read_wall_ns.
 //
-// When `store` is set, reads pay the simulated storage latency; when
-// additionally `options.prefetch_depth` > 0, a background PrefetchEngine
-// warms the predicted access set of transaction i+depth while transaction i
-// executes, and the deterministic prefetch hit/miss/wasted counters land in
-// `report`. With `options.external_warmup` a chain runner already warmed the
-// block (and owns residency), so the per-block BeginBlock and the engine are
-// skipped — the deterministic accounting still runs.
+// When `store` is set, reads pay the simulated storage latency, and a
+// BlockPrefetch (below) applies the warm-up policy around the read phase:
+// with `options.prefetch_depth` > 0 the whole block is warmed before its first
+// read and the deterministic prefetch hit/miss/wasted counters land in
+// `report`.
 //
 // When `seeds` is set, a transaction with an engaged seed entry adopts that
 // record instead of speculating (its boundary validation already proved it
@@ -105,18 +103,34 @@ ReadPhase RunReadPhase(const Block& block, const WorldState& state, SpecMode mod
                        SimStore* store, BlockReport& report, BoundarySeeds* seeds = nullptr);
 
 // Builds the per-transaction static access-set predictions (envelope
-// accounts + calldata selector) the PrefetchEngine and AccountPrefetch
-// consume.
+// accounts + calldata selector) that SimStore::WarmBlock and the prefetch
+// accounting consume.
 std::vector<PrefetchRequest> BuildPrefetchRequests(const Block& block);
 
-// Deterministic prefetch accounting, run on the block-order pass after the
-// engine has been joined: classifies every observed read as a prefetch hit
-// (its key was in the transaction's predicted set) or miss, counts predicted
-// keys nothing read as wasted, then feeds the observed storage keys back
-// into the store's hint table. reads_per_tx entries may be null (skipped /
-// never-executed transactions).
-void AccountPrefetch(SimStore& store, const std::vector<PrefetchRequest>& requests,
-                     const std::vector<const ReadSet*>& reads_per_tx, BlockReport& report);
+// The one per-Execute prefetch policy (paper §6.3), shared by the read phase,
+// SerialExecutor and BlockStmExecutor. Construct it before the block's first
+// read: unless a chain runner owns the warm-up (options.external_warmup, its
+// warm stage already warmed this block), it clears the store's residency and,
+// with prefetch_depth > 0, warms the whole block through SimStore::WarmBlock.
+// Call Account on the block-order pass after the last read: with
+// prefetch_depth > 0 it classifies every observed read as a prefetch hit (its
+// key was in the transaction's predicted set) or miss, counts predicted keys
+// nothing read as wasted, then feeds the observed storage keys back into the
+// store's hint table. Without a store it does nothing.
+class BlockPrefetch {
+ public:
+  BlockPrefetch(const Block& block, const ExecOptions& options, SimStore* store);
+
+  // Whether Account counts anything; collect read sets for it only then.
+  bool accounting() const { return store_ != nullptr; }
+
+  // One entry per transaction; null for skipped or never-executed ones.
+  void Account(const std::vector<const ReadSet*>& reads_per_tx, BlockReport& report);
+
+ private:
+  SimStore* store_ = nullptr;  // Set only when accounting.
+  std::vector<PrefetchRequest> requests_;
+};
 
 // Validation scan: every read whose committed value changed since
 // speculation, mapped to the freshly committed value (the redo phase's patch

@@ -35,6 +35,7 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
     }
     return;
   }
+  std::lock_guard<std::mutex> job(job_mu_);
   {
     std::lock_guard<std::mutex> lock(mu_);
     fn_ = &fn;

@@ -1,7 +1,8 @@
-// A minimal fork-join worker pool for the genuinely parallel read phase.
-// ParallelFor hands out indices through an atomic counter so stragglers never
-// idle the pool, and the calling thread participates in every job, so a
-// 1-thread pool degenerates to a plain serial loop.
+// A minimal fork-join worker pool for the genuinely parallel read phase and
+// the simulated store's warm-up batches (src/state/sim_store.h). ParallelFor
+// hands out indices through an atomic counter so stragglers never idle the
+// pool, and the calling thread participates in every job, so a 1-thread pool
+// degenerates to a plain serial loop.
 //
 // Determinism contract: the pool only changes *which OS thread* computes an
 // index, never the result — callers must keep each index's work independent
@@ -31,7 +32,10 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   // Runs fn(i) for every i in [0, n) across the pool and blocks until all
-  // indices finished. Not reentrant: one job at a time per pool.
+  // indices finished. Any thread may call it: a per-pool job mutex runs one
+  // job at a time, and concurrent callers queue behind it. Condition: fn must
+  // not call ParallelFor on this same pool (the inner call would wait for the
+  // job that is running it).
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
   // Caller thread + workers.
@@ -47,6 +51,7 @@ class ThreadPool {
   void WorkerLoop();
 
   std::vector<std::thread> workers_;
+  std::mutex job_mu_;  // Held by ParallelFor for the whole job.
   std::mutex mu_;
   std::condition_variable work_cv_;  // Workers wait here for a new job.
   std::condition_variable done_cv_;  // ParallelFor waits here for completion.

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstddef>
+#include <thread>
 
 #include "src/telemetry/trace.h"
 
@@ -24,61 +24,6 @@ void InjectLatency(uint64_t ns) {
   while (std::chrono::steady_clock::now() < deadline) {
   }
 }
-
-// The one batching routine behind PrefetchEngine and WarmBlock. Predicted
-// keys queue in transaction order, minus every key this run (one block) has
-// already queued: hint buckets are per (contract, selector), so the
-// transactions of a block that call the same function predict the same slots.
-// Once a full batch per pool thread is pending, the full batches go out
-// together, each one a SimStore::WarmBatch on a span of `pending_`.
-class WarmBatcher {
- public:
-  WarmBatcher(SimStore& store, ThreadPool& pool)
-      : store_(store), pool_(pool), batch_size_(std::max<size_t>(store.config().batch_size, 1)) {}
-
-  void Add(const PrefetchRequest& request) {
-    for (const StateKey& key : store_.PredictSet(request)) {
-      if (issued_.insert(key).second) {
-        pending_.push_back(key);
-      }
-    }
-    if (pending_.size() >= batch_size_ * static_cast<size_t>(pool_.threads())) {
-      Issue(/*include_partial=*/false);
-    }
-  }
-
-  // Issues everything pending, the partial last batch included.
-  void Flush() { Issue(/*include_partial=*/true); }
-
-  uint64_t keys_issued() const { return keys_issued_; }
-  uint64_t batches_issued() const { return batches_issued_; }
-
- private:
-  void Issue(bool include_partial) {
-    const size_t batches = include_partial ? (pending_.size() + batch_size_ - 1) / batch_size_
-                                           : pending_.size() / batch_size_;
-    if (batches == 0) {
-      return;
-    }
-    const size_t keys = std::min(batches * batch_size_, pending_.size());
-    pool_.ParallelFor(batches, [&](size_t b) {
-      const size_t begin = b * batch_size_;
-      store_.WarmBatch(std::span<const StateKey>(pending_).subspan(
-          begin, std::min(batch_size_, keys - begin)));
-    });
-    pending_.erase(pending_.begin(), pending_.begin() + static_cast<std::ptrdiff_t>(keys));
-    keys_issued_ += keys;
-    batches_issued_ += batches;
-  }
-
-  SimStore& store_;
-  ThreadPool& pool_;
-  const size_t batch_size_;
-  std::unordered_set<StateKey, StateKeyHash> issued_;
-  std::vector<StateKey> pending_;
-  uint64_t keys_issued_ = 0;
-  uint64_t batches_issued_ = 0;
-};
 
 }  // namespace
 
@@ -144,9 +89,10 @@ std::vector<StateKey> SimStore::PredictSet(const PrefetchRequest& request) const
     std::lock_guard<std::mutex> lock(hints_mu_);
     auto it = hints_.find(HintKey{request.to, request.selector});
     if (it != hints_.end()) {
-      // Deliberately no LRU bump: PredictSet runs on concurrent prefetch
-      // drivers, so letting it touch recency would make eviction order — and
-      // through it the deterministic prefetch counters — timing-dependent.
+      // Deliberately no LRU bump: PredictSet runs on the chain's warm stage
+      // concurrently with execution, so letting it touch recency would make
+      // eviction order — and through it the deterministic prefetch counters
+      // — timing-dependent.
       keys.insert(keys.end(), it->second.keys.begin(), it->second.keys.end());
     }
   }
@@ -187,63 +133,36 @@ void SimStore::RecordObserved(const PrefetchRequest& request, const ReadSet& rea
   }
 }
 
-uint64_t WarmBlock(SimStore& store, std::span<const PrefetchRequest> requests, ThreadPool& pool) {
-  WarmBatcher batcher(store, pool);
+uint64_t SimStore::WarmBlock(std::span<const PrefetchRequest> requests) {
+  // Hint buckets are per (contract, selector), so the transactions of a block
+  // that call the same function predict the same slots: each is issued once.
+  std::vector<StateKey> keys;
+  std::unordered_set<StateKey, StateKeyHash> seen;
   for (const PrefetchRequest& request : requests) {
-    batcher.Add(request);
-  }
-  batcher.Flush();
-  return batcher.keys_issued();
-}
-
-PrefetchEngine::PrefetchEngine(SimStore& store, std::vector<PrefetchRequest> requests,
-                               int depth)
-    : store_(store),
-      requests_(std::move(requests)),
-      depth_(static_cast<size_t>(std::max(depth, 1))),
-      pool_(std::max(store.config().prefetch_workers, 1)),
-      driver_([this] { DriverLoop(); }) {}
-
-void PrefetchEngine::NotifyStarted(size_t i) {
-  size_t target = i + 1;
-  size_t current = progress_.load(std::memory_order_relaxed);
-  while (current < target &&
-         !progress_.compare_exchange_weak(current, target, std::memory_order_release,
-                                          std::memory_order_relaxed)) {
-  }
-}
-
-void PrefetchEngine::Finish() {
-  stop_.store(true, std::memory_order_release);
-  Drain();
-}
-
-void PrefetchEngine::Drain() {
-  if (driver_.joinable()) {
-    driver_.join();
-  }
-}
-
-void PrefetchEngine::DriverLoop() {
-  PEVM_TRACE_THREAD_NAME("prefetch-driver");
-  PEVM_TRACE_SPAN_ARG("prefetch.drive", "txs", requests_.size());
-  WarmBatcher batcher(store_, pool_);
-  for (size_t j = 0; j < requests_.size(); ++j) {
-    // Pacing: stay at most `depth_` transactions ahead of the execution
-    // frontier. While stalled, push out whatever is already batched.
-    while (!stop_.load(std::memory_order_acquire) &&
-           j >= progress_.load(std::memory_order_acquire) + depth_) {
-      batcher.Flush();
-      std::this_thread::yield();
+    for (const StateKey& key : PredictSet(request)) {
+      if (seen.insert(key).second) {
+        keys.push_back(key);
+      }
     }
-    if (stop_.load(std::memory_order_acquire)) {
-      break;  // Abort: execution already passed everything we could warm.
-    }
-    batcher.Add(requests_[j]);
   }
-  batcher.Flush();
-  keys_issued_ = batcher.keys_issued();
-  batches_issued_ = batcher.batches_issued();
+  if (keys.empty()) {
+    return 0;
+  }
+  ThreadPool* pool;
+  {
+    std::lock_guard<std::mutex> lock(pool_mu_);
+    if (!pool_) {
+      pool_ = std::make_unique<ThreadPool>(std::max(config_.prefetch_workers, 1));
+    }
+    pool = pool_.get();
+  }
+  const size_t batch = std::max<size_t>(config_.batch_size, 1);
+  pool->ParallelFor((keys.size() + batch - 1) / batch, [&](size_t b) {
+    const size_t begin = b * batch;
+    WarmBatch(std::span<const StateKey>(keys).subspan(begin,
+                                                      std::min(batch, keys.size() - begin)));
+  });
+  return keys.size();
 }
 
 }  // namespace pevm

@@ -1,15 +1,15 @@
-// The simulated storage front-end and its asynchronous prefetch pipeline.
+// The simulated storage front-end and its block warm-up.
 //
-// PR 1 made the read phase genuinely parallel; the remaining wall-clock
+// Once the read phase runs on real threads, the remaining wall-clock
 // bottleneck (paper Table 2, §6.3 "State Prefetching") is the LevelDB-like
 // latency of every cold committed-state read. SimStore models that latency on
 // the *wall clock only*: a thread-safe resident-key set decides whether a
-// read pays the cold or the warm delay, and predicted access sets are warmed
-// ahead of speculation with batched reads (one amortised batch latency
-// instead of a cold miss per key), each distinct key once per block. Two
-// callers share the batching: the background PrefetchEngine, paced against
-// execution on its own src/exec ThreadPool, and WarmBlock, the chain
-// runner's synchronous whole-block warm-up on a pool the runner owns.
+// read pays the cold or the warm delay, and WarmBlock warms a block's
+// predicted access set before the block executes, with batched reads (one
+// amortised batch latency instead of a cold miss per key), each distinct key
+// once per block. WarmBlock is the one warm-up path: the chain runner's warm
+// stage calls it one block ahead of execution, and a standalone Execute calls
+// it before its first read (BlockPrefetch in src/exec/pipeline.h).
 //
 // Determinism contract (DESIGN.md §3.2): nothing in this file may influence
 // execution results or the virtual-time oracle. SimStore never stores values
@@ -18,7 +18,7 @@
 // receipts and the virtual makespan are bit-identical with prefetching on or
 // off, at every thread count. Only the wall-clock BlockReport fields (and the
 // separately computed, deterministic prefetch hit/miss/wasted counters — see
-// AccountPrefetch in src/exec/pipeline.h) react to this machinery.
+// AccountPrefetch in src/exec/pipeline.cc) react to this machinery.
 #ifndef SRC_STATE_SIM_STORE_H_
 #define SRC_STATE_SIM_STORE_H_
 
@@ -26,9 +26,9 @@
 #include <atomic>
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <span>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -50,7 +50,7 @@ struct SimStoreConfig {
   // costs batch_base_ns + 32 * batch_key_ns instead of 32 * cold_read_ns.
   uint64_t batch_base_ns = 0;
   uint64_t batch_key_ns = 0;
-  // Prefetch-engine shape: worker-pool width for issuing batches, keys per
+  // Warm-up shape: WarmBlock's pool width (its caller included), keys per
   // batch, and the cap on remembered storage keys per (contract, selector)
   // hint bucket.
   int prefetch_workers = 2;
@@ -97,6 +97,15 @@ class SimStore {
   // concurrently with foreground execution *and* with commits. Thread-safe.
   void WarmBatch(std::span<const StateKey> keys);
 
+  // Whole-block warm-up: predicts every request's access set against the hint
+  // table, keeps each key once in first-seen order, and issues the keys in
+  // batches of config().batch_size, all in one ParallelFor on a
+  // prefetch_workers-wide pool (the caller is one of its threads) that the
+  // store builds on its first call. Returns once every batch is warmed; the
+  // result is the number of keys issued. Any thread may call it; concurrent
+  // callers queue on the pool.
+  uint64_t WarmBlock(std::span<const PrefetchRequest> requests);
+
   // Latency-free residency probe (test introspection only).
   bool IsResident(const StateKey& key) const;
 
@@ -109,7 +118,7 @@ class SimStore {
   // Feeds the hint table: storage keys observed in `reads` are remembered
   // under (to, selector), capped at max_hint_keys per bucket. Called from the
   // deterministic block-order accounting pass only — never concurrently with
-  // PredictSet from a live engine.
+  // a WarmBlock of the same block.
   void RecordObserved(const PrefetchRequest& request, const ReadSet& reads);
 
   // Wall-side statistics (informational; not part of any determinism
@@ -169,6 +178,9 @@ class SimStore {
   std::atomic<uint64_t> warm_touches_{0};
   std::atomic<uint64_t> warmed_keys_{0};
   std::atomic<uint64_t> warm_batches_{0};
+
+  std::mutex pool_mu_;  // Guards the lazy construction of pool_.
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 // Base-state reader that routes every committed read through the simulated
@@ -190,61 +202,15 @@ class SimStoreReader final : public BaseReader {
   const WorldState* state_;
 };
 
-// Whole-block warm-up on the calling thread and `pool`: predicts every
-// request's access set against the hint table and issues each distinct key
-// once, in batches of config().batch_size, one batch per pool thread at a
-// time. Returns when every batch has been warmed; the result is the number of
-// keys issued. The pool must not be running another job.
-uint64_t WarmBlock(SimStore& store, std::span<const PrefetchRequest> requests, ThreadPool& pool);
-
-// The asynchronous prefetch pipeline: a driver thread walks the block's
-// prefetch requests in transaction order, staying at most `depth`
-// transactions ahead of execution (NotifyStarted feeds the execution
-// frontier), predicts each transaction's access set against the hint table,
-// and issues the keys not yet issued for this block as batched warm-ups
-// across an owned ThreadPool — so the warm-up for transaction i+depth
-// overlaps the execution of transaction i.
-//
-// Lifecycle: construction starts the driver; Finish() (or the destructor)
-// aborts any not-yet-issued warm-ups and joins. Drain() instead waits for the
-// driver to issue everything — only safe when pacing can finish without
-// further NotifyStarted calls (depth >= number of requests, or the frontier
-// already advanced past them).
+// Compatibility name, like CodeCacheConfig (src/codecache/code_cache.h): the
+// constructor is SimStore::WarmBlock, `depth` is not read, and Drain() does
+// nothing. It stays only because chainbench's traced harness names it.
 class PrefetchEngine {
  public:
-  PrefetchEngine(SimStore& store, std::vector<PrefetchRequest> requests, int depth);
-  ~PrefetchEngine() { Finish(); }
-
-  PrefetchEngine(const PrefetchEngine&) = delete;
-  PrefetchEngine& operator=(const PrefetchEngine&) = delete;
-
-  // Marks transaction `i` as started by execution; the driver may then warm
-  // up through transaction i + depth. Thread-safe, monotonic.
-  void NotifyStarted(size_t i);
-
-  // Aborts remaining warm-ups and joins the driver. Idempotent.
-  void Finish();
-
-  // Joins the driver without aborting (see class comment for when this is
-  // safe). Idempotent.
-  void Drain();
-
-  // Valid after Finish()/Drain().
-  uint64_t keys_issued() const { return keys_issued_; }
-  uint64_t batches_issued() const { return batches_issued_; }
-
- private:
-  void DriverLoop();
-
-  SimStore& store_;
-  std::vector<PrefetchRequest> requests_;
-  size_t depth_;
-  ThreadPool pool_;
-  std::atomic<size_t> progress_{0};
-  std::atomic<bool> stop_{false};
-  uint64_t keys_issued_ = 0;  // Written by the driver, read after join.
-  uint64_t batches_issued_ = 0;
-  std::thread driver_;  // Last member: starts after everything else is ready.
+  PrefetchEngine(SimStore& store, std::span<const PrefetchRequest> requests, int /*depth*/) {
+    store.WarmBlock(requests);
+  }
+  void Drain() {}
 };
 
 }  // namespace pevm

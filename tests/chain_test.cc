@@ -435,7 +435,7 @@ TEST_F(ChainShutdownTest, AbortWhileSpeculativeBlockInFlight) {
 }
 
 // Same plug-pull with the warm stage doing real work: every batch sleeps, so
-// the abort can land while the warm thread and the runner's warm pool are
+// the abort can land while the warm thread and the store's warm-up pool are
 // inside a block. The pool's teardown must neither hang nor outlive the
 // batches it was handed.
 TEST_F(ChainShutdownTest, AbortWhileWarmStageIsMidBlock) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
 #include <vector>
 
 #include "src/baselines/block_stm.h"
@@ -320,6 +321,32 @@ TEST(ThreadPoolTest, PoolIsReusableAcrossJobs) {
     pool.ParallelFor(100, [&](size_t i) { sum.fetch_add(i); });
   }
   EXPECT_EQ(sum.load(), 50u * (99u * 100u / 2u));
+}
+
+// Any thread may call ParallelFor: concurrent callers queue on the pool's job
+// mutex, so each caller's job still visits each of its indices exactly once.
+TEST(ThreadPoolTest, ConcurrentCallersEachVisitEveryIndexOnce) {
+  ThreadPool pool(3);
+  constexpr int kJobs = 50;
+  constexpr size_t kN = 64;
+  std::atomic<int> bad_jobs{0};
+  auto caller = [&] {
+    for (int job = 0; job < kJobs; ++job) {
+      std::vector<std::atomic<int>> visits(kN);
+      pool.ParallelFor(kN, [&](size_t i) { visits[i].fetch_add(1); });
+      for (size_t i = 0; i < kN; ++i) {
+        if (visits[i].load() != 1) {
+          bad_jobs.fetch_add(1);
+          break;
+        }
+      }
+    }
+  };
+  std::thread first(caller);
+  std::thread second(caller);
+  first.join();
+  second.join();
+  EXPECT_EQ(bad_jobs.load(), 0);
 }
 
 TEST(ThreadPoolTest, ZeroIterationsIsANoOp) {

@@ -1,11 +1,13 @@
-// Property tests for the simulated storage front-end and its asynchronous
-// prefetch pipeline. The load-bearing claim (DESIGN.md): warming is pure
-// cache-residency marking — concurrent warm-ups of overlapping key sets can
-// never change what any reader observes, and a prefetch-enabled executor run
-// is bit-identical (state root, receipts, virtual makespan) to a cold run.
+// Property tests for the simulated storage front-end and its block warm-up.
+// The load-bearing claim (DESIGN.md): warming is pure cache-residency marking
+// — concurrent warm-ups of overlapping key sets can never change what any
+// reader observes, and a prefetch-enabled executor run is bit-identical
+// (state root, receipts, virtual makespan) to a cold run.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 #include <unordered_set>
 #include <vector>
@@ -309,54 +311,29 @@ TEST(PrefetchPropertyTest, EngineWithDepthCoveringBlockWarmsEveryPredictedKey) {
   std::unordered_set<StateKey, StateKeyHash> distinct = DistinctPredicted(store, requests);
   ASSERT_EQ(distinct.size(), 85u);
 
+  // The compatibility name warms the block as SimStore::WarmBlock does.
   PrefetchEngine engine(store, requests, /*depth=*/static_cast<int>(requests.size()));
-  engine.Drain();  // Depth covers the whole block: no pacing needed.
+  engine.Drain();
   // Each distinct key is issued once, however many transactions predict it.
-  EXPECT_EQ(engine.keys_issued(), distinct.size());
-  EXPECT_GE(engine.batches_issued(), 1u);
+  EXPECT_EQ(store.warmed_keys(), distinct.size());
   for (const StateKey& key : distinct) {
     EXPECT_TRUE(store.IsResident(key)) << key.ToString();
   }
 }
 
-// Pacing flushes partial batches while the driver waits on the execution
-// frontier; keys flushed before a stall still count as issued for the block.
-TEST(PrefetchPropertyTest, PacedEngineIssuesEachDistinctKeyOnce) {
-  SimStore store;
-  std::vector<PrefetchRequest> requests = FortyTransfers();
-  std::unordered_set<StateKey, StateKeyHash> distinct = DistinctPredicted(store, requests);
-
-  PrefetchEngine engine(store, requests, /*depth=*/1);
-  engine.NotifyStarted(requests.size() - 1);
-  engine.Drain();  // The frontier passed every request: pacing can finish.
-  EXPECT_EQ(engine.keys_issued(), distinct.size());
-  for (const StateKey& key : distinct) {
-    EXPECT_TRUE(store.IsResident(key)) << key.ToString();
-  }
-}
-
-// The chain runner's synchronous warm-up shares the engine's batching: the
-// caller plus one pool worker issue the same distinct keys.
+// The one warm-up path: the caller plus one pool worker issue the distinct
+// keys in batches of batch_size (85 keys in batches of 32).
 TEST(PrefetchPropertyTest, WarmBlockIssuesEachDistinctKeyOnce) {
   SimStore store;
   std::vector<PrefetchRequest> requests = FortyTransfers();
   std::unordered_set<StateKey, StateKeyHash> distinct = DistinctPredicted(store, requests);
 
-  ThreadPool pool(2);
-  EXPECT_EQ(WarmBlock(store, requests, pool), distinct.size());
+  EXPECT_EQ(store.WarmBlock(requests), distinct.size());
   for (const StateKey& key : distinct) {
     EXPECT_TRUE(store.IsResident(key)) << key.ToString();
   }
   EXPECT_EQ(store.warmed_keys(), distinct.size());
-}
-
-TEST(PrefetchPropertyTest, EngineFinishWithoutProgressDoesNotHang) {
-  SimStore store;
-  std::vector<PrefetchRequest> requests(64);
-  PrefetchEngine engine(store, requests, /*depth=*/1);
-  engine.Finish();  // Execution never started: abort must not deadlock.
-  engine.Finish();  // Idempotent.
-  SUCCEED();
+  EXPECT_EQ(store.warm_batches(), 3u);
 }
 
 // Executor-level property: turning the prefetch pipeline on cannot perturb
@@ -463,6 +440,49 @@ TEST(PrefetchPropertyTest, PrefetchCountersAreReproducible) {
   // envelope-only floor of the very first block.
   EXPECT_GT(first[1][0], 0u);
   EXPECT_GE(first[1][0] + first[2][0], first[0][0]);
+}
+
+// A standalone Execute warms the whole block before its first read. Every key
+// a native transfer reads is an envelope key, so all of them are predicted;
+// with batches that sleep, a warm-up that overlapped execution instead of
+// finishing first would leave reads cold.
+TEST(PrefetchPropertyTest, StandaloneExecuteWarmsWholeBlockBeforeReading) {
+  // 24 senders paying 3 recipients: 51 distinct keys, all funded accounts.
+  WorldState genesis;
+  for (uint64_t u = 0; u < 27; ++u) {
+    genesis.SetBalance(Address::FromId(0x1000 + u), U256::Exp(U256(10), U256(18)));
+  }
+  Block block;
+  block.context.coinbase = Address::FromId(0xC0FFEE);
+  for (uint64_t u = 0; u < 24; ++u) {
+    Transaction tx;
+    tx.from = Address::FromId(0x1000 + u);
+    tx.to = Address::FromId(0x1000 + 24 + u % 3);
+    tx.value = U256(100);
+    tx.gas_limit = 50'000;
+    tx.gas_price = U256(2);
+    block.transactions.push_back(tx);
+  }
+
+  ExecOptions options;
+  options.threads = 4;
+  options.os_threads = 2;
+  options.prefetch_depth = 1;
+  options.storage.batch_base_ns = 50'000;  // Long enough that batches sleep.
+  std::vector<std::unique_ptr<Executor>> executors;
+  executors.push_back(std::make_unique<SerialExecutor>(options));
+  executors.push_back(std::make_unique<OccExecutor>(options));
+  executors.push_back(std::make_unique<ParallelEvmExecutor>(options));
+  executors.push_back(std::make_unique<BlockStmExecutor>(options));
+  for (const std::unique_ptr<Executor>& exec : executors) {
+    SCOPED_TRACE(std::string(exec->name()));
+    WorldState state = genesis;
+    BlockReport report = exec->Execute(block, state);
+    ASSERT_NE(exec->chain_store(), nullptr);
+    EXPECT_EQ(exec->chain_store()->cold_touches(), 0u);
+    EXPECT_EQ(report.prefetch_misses, 0u);
+    EXPECT_GT(report.prefetch_hits, 0u);
+  }
 }
 
 }  // namespace
