@@ -17,18 +17,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// Heap bytes a finished log owns: its flat arrays, each at its exact size.
 size_t TxLogBytes(const pevm::TxLog& log) {
-  size_t bytes = sizeof(log) + log.entries.capacity() * sizeof(pevm::OpLogEntry);
-  for (const pevm::OpLogEntry& e : log.entries) {
-    bytes += e.operands.capacity() * sizeof(pevm::U256) + e.def_stack.capacity() * sizeof(pevm::Lsn) +
-             e.def_memory.capacity() * sizeof(pevm::MemDep) + e.input_bytes.capacity();
-  }
-  for (const auto& uses : log.dug) {
-    bytes += uses.capacity() * sizeof(pevm::Lsn);
-  }
-  bytes += (log.direct_reads.size() + log.latest_writes.size()) *
-           (sizeof(pevm::StateKey) + sizeof(pevm::Lsn) + 16);
-  return bytes;
+  return sizeof(log) + log.entries.capacity() * sizeof(pevm::OpLogEntry) +
+         log.operands.capacity() * sizeof(pevm::Operand) +
+         log.mem_deps.capacity() * sizeof(pevm::MemDep) + log.bytes.capacity() +
+         log.keys.capacity() * sizeof(pevm::KeyRecord);
 }
 
 }  // namespace

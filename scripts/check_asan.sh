@@ -20,7 +20,13 @@
 # persistence and resume suites read across reopened runners. The
 # substrate suites run here too: UBSan checks the unrolled Keccak's rotations
 # and the limb shifts of U256 division, ASan the bounds of the RLP writers the
-# trie encodes nodes with.
+# trie encodes nodes with. So do the SSA log's suites: a log entry addresses
+# its operands, memory-dependency runs, input bytes and state key by offset
+# into the log's pools, and the builder reuses per-thread scratch across
+# transactions, so an offset or count off by one reads a neighbour's data
+# instead of crashing. The scenario, cross-contract and call-value suites, the
+# redo property and fuzz batteries, the executor equivalence battery and the
+# log pin test drive the builder, the printer and redo over those pools.
 #
 # Selection goes through ctest so gtest_discover_tests stays the single
 # source of truth. An empty selection is a HARD FAILURE — the gate must not
@@ -30,7 +36,7 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR=${BUILD_DIR:-build-asan}
 # Parameterized suites carry their instantiation prefix ("Seeds/MptPropertyTest...").
-ASAN_REGEX=${ASAN_REGEX:-'^(Seeds/)?(BoundedQueueTest|SnapshotRegistryTest|QueryEngineTest|QueryInertnessTest|ChainRunnerTest|ChainShutdownTest|ChainPersistenceTest|ChainResumeTest|KvStoreTest|KvConcurrencyTest|KvCompactionTest|ShardedMpt|IncrementalStateTrieTest|PrefetchPropertyTest|ThreadPoolTest|WorldStateTest|StateViewTest|CodeCacheTest|CodeCacheDifferentialTest|HttpServerTest|FlightRecorderTest|WatchdogTest|OpsPlaneTest|KeccakTest|U256Test|U256PropertyTest|RlpTest|MptTest|MptPropertyTest|MptDeleteTest|MptApplyDiffPropertyTest|MptHarvestTest)'}
+ASAN_REGEX=${ASAN_REGEX:-'^(Seeds/)?(BoundedQueueTest|SnapshotRegistryTest|QueryEngineTest|QueryInertnessTest|ChainRunnerTest|ChainShutdownTest|ChainPersistenceTest|ChainResumeTest|KvStoreTest|KvConcurrencyTest|KvCompactionTest|ShardedMpt|IncrementalStateTrieTest|PrefetchPropertyTest|ThreadPoolTest|WorldStateTest|StateViewTest|CodeCacheTest|CodeCacheDifferentialTest|HttpServerTest|FlightRecorderTest|WatchdogTest|OpsPlaneTest|KeccakTest|U256Test|U256PropertyTest|RlpTest|MptTest|MptPropertyTest|MptDeleteTest|MptApplyDiffPropertyTest|MptHarvestTest|SsaScenarioTest|CrossContractTest|CallValueProvenanceTest|RedoPropertyTest|EvmFuzzTest|EquivalenceTest|PerOpLogPinTest)'}
 
 # Intentional process-lifetime singletons (the telemetry registry, memoized
 # test fixtures) are leaked by design; leak checking would only report those.
@@ -39,7 +45,9 @@ export ASAN_OPTIONS=${ASAN_OPTIONS:-detect_leaks=0}
 cmake -B "$BUILD_DIR" -S . -DPEVM_SANITIZE=address,undefined -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target bounded_queue_test query_test chain_test kv_test trie_test state_test \
-           codecache_test ops_test support_test recovery_test prefetch_test determinism_test
+           codecache_test ops_test support_test recovery_test prefetch_test determinism_test \
+           ssa_test ssa_crosscontract_test ssa_callvalue_test redo_property_test evm_fuzz_test \
+           equivalence_test
 
 cd "$BUILD_DIR"
 selected=$(ctest -N -R "$ASAN_REGEX" | sed -n 's/^Total Tests: //p')

@@ -7,12 +7,15 @@
 # background-compaction concurrency, the telemetry recorder's lock-free rings
 # (concurrent writers, live export, and a traced speculating chain runner
 # whose stage threads all record spans), the shared code cache (sharded
-# shared-lock lookups, once-per-hash analysis racing 16 reader threads) and
-# the ops plane (HTTP scrape threads reading pipeline counters, the
+# shared-lock lookups, once-per-hash analysis racing 16 reader threads), the
+# ops plane (HTTP scrape threads reading pipeline counters, the
 # flight-recorder ring and the live trace while the pipeline commits; the
-# watchdog sampling concurrently): builds the tree with -fsanitize=thread
-# (PEVM_SANITIZE=thread) and runs the suites that drive these hard. Any data
-# race fails the script.
+# watchdog sampling concurrently) and the SSA log (builders take per-thread
+# scratch on pool threads in DeterminismTest at 4 and 16 OS threads; finished
+# logs cross from the speculation stage to the exec thread in
+# BoundaryValidationTest and ChainRunnerTest): builds the tree with
+# -fsanitize=thread (PEVM_SANITIZE=thread) and runs the suites that drive these
+# hard. Any data race fails the script.
 #
 # Selection goes through ctest so gtest_discover_tests stays the single source
 # of truth for what exists. An empty selection is a HARD FAILURE: a typo in

@@ -20,8 +20,7 @@ Bytes RootBytes(const Hash256& root) { return Bytes(root.begin(), root.end()); }
 }  // namespace
 
 void InMemoryNodeStore::PutNode(const Hash256& hash, BytesView encoding) {
-  auto [it, inserted] = nodes_.try_emplace(hash, Bytes(encoding.begin(), encoding.end()));
-  if (!inserted) {
+  if (!nodes_.insert(hash).second) {
     return;  // Content-addressed: the record is already identical.
   }
   total_node_bytes_ += encoding.size();
@@ -29,28 +28,17 @@ void InMemoryNodeStore::PutNode(const Hash256& hash, BytesView encoding) {
   pending_bytes_ += FramedPutBytes(1 + hash.size(), encoding.size());
 }
 
-void InMemoryNodeStore::PutAccount(const Address& address, const U256& balance, uint64_t nonce) {
-  std::string key = kvkeys::AccountKey(address);
-  pending_bytes_ += FramedPutBytes(key.size(), 40);
-  flat_[std::move(key)] = kvkeys::EncodeAccountRecord(balance, nonce);
+void InMemoryNodeStore::PutAccount(const Address& address, const U256&, uint64_t) {
+  pending_bytes_ += FramedPutBytes(kvkeys::AccountKey(address).size(), 40);
 }
 
 void InMemoryNodeStore::PutStorage(const Address& address, const U256& slot, const U256& value) {
-  std::string key = kvkeys::StorageKey(address, slot);
-  if (value.IsZero()) {
-    pending_bytes_ += FramedDeleteBytes(key.size());
-    flat_.erase(key);
-    return;
-  }
-  std::array<uint8_t, 32> be = value.ToBigEndian();
-  pending_bytes_ += FramedPutBytes(key.size(), be.size());
-  flat_[std::move(key)] = Bytes(be.begin(), be.end());
+  size_t key_size = kvkeys::StorageKey(address, slot).size();
+  pending_bytes_ += value.IsZero() ? FramedDeleteBytes(key_size) : FramedPutBytes(key_size, 32);
 }
 
 void InMemoryNodeStore::PutCode(const Address& address, BytesView code) {
-  std::string key = kvkeys::CodeKey(address);
-  pending_bytes_ += FramedPutBytes(key.size(), code.size());
-  flat_[std::move(key)] = Bytes(code.begin(), code.end());
+  pending_bytes_ += FramedPutBytes(kvkeys::CodeKey(address).size(), code.size());
 }
 
 NodeStoreCommitStats InMemoryNodeStore::CommitGenesis(const Hash256& root) {

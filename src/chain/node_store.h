@@ -5,8 +5,9 @@
 // chain's durable head.
 //
 // Two implementations:
-//   - InMemoryNodeStore: hash maps, no I/O. The accounting oracle — byte and
-//     node counts identical to the KV-backed store, durability-free.
+//   - InMemoryNodeStore: no I/O and no copies. The accounting oracle — byte
+//     and node counts identical to the KV-backed store, durability-free; it
+//     keeps only the node hashes its duplicate check needs.
 //   - KvNodeStore: batches everything into one KvStore WriteBatch per block
 //     and commits it atomically under a commit marker with a single group
 //     fsync. Because the manifest entry (block count + per-block root) rides
@@ -21,7 +22,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -99,8 +99,7 @@ class InMemoryNodeStore final : public NodeStore {
  private:
   NodeStoreCommitStats SealPending();
 
-  std::unordered_map<Hash256, Bytes, Hash256Hash> nodes_;
-  std::unordered_map<std::string, Bytes> flat_;
+  std::unordered_set<Hash256, Hash256Hash> nodes_;
   std::vector<Hash256> roots_;
   uint64_t total_node_bytes_ = 0;
   uint64_t pending_nodes_ = 0;

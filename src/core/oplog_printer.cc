@@ -1,6 +1,7 @@
 #include "src/core/oplog_printer.h"
 
 #include <sstream>
+#include <vector>
 
 namespace pevm {
 namespace {
@@ -16,27 +17,27 @@ std::string Short(const U256& v) {
 }  // namespace
 
 std::string FormatOpLogEntry(const TxLog& log, const OpLogEntry& entry) {
-  (void)log;
   std::ostringstream out;
   out << "L" << entry.lsn << ": " << OpcodeName(entry.op);
-  if (entry.has_key) {
-    out << " [" << entry.key.ToString() << "]";
+  if (entry.has_key()) {
+    out << " [" << log.Key(entry).ToString() << "]";
   }
   out << " (";
-  for (size_t i = 0; i < entry.operands.size(); ++i) {
+  std::span<const Operand> operands = log.Operands(entry);
+  for (size_t i = 0; i < operands.size(); ++i) {
     if (i > 0) {
       out << ", ";
     }
-    out << Short(entry.operands[i]);
-    if (i < entry.def_stack.size() && entry.def_stack[i] != kNullLsn) {
-      out << "<-L" << entry.def_stack[i];
+    out << Short(operands[i].value);
+    if (operands[i].def != kNullLsn) {
+      out << "<-L" << operands[i].def;
     }
   }
   out << ")";
   if (entry.def_storage != kNullLsn) {
     out << " def.storage=L" << entry.def_storage;
   }
-  for (const MemDep& dep : entry.def_memory) {
+  for (const MemDep& dep : log.DefMemory(entry)) {
     out << " def.mem[" << dep.start << ":" << dep.start + dep.len << ")=L" << dep.lsn << "+"
         << dep.offset;
   }
@@ -50,14 +51,29 @@ std::string FormatOpLogEntry(const TxLog& log, const OpLogEntry& entry) {
 }
 
 std::string FormatOpLog(const TxLog& log) {
+  // The definition-use graph (§5.2.5) as an adjacency array: the uses of
+  // entry d are uses[offsets[d], offsets[d + 1]), in log order.
+  std::vector<uint32_t> offsets(log.size() + 1, 0);
+  for (const OpLogEntry& entry : log.entries) {
+    log.ForEachDef(entry, [&](Lsn def) { ++offsets[static_cast<size_t>(def) + 1]; });
+  }
+  for (size_t d = 0; d < log.size(); ++d) {
+    offsets[d + 1] += offsets[d];
+  }
+  std::vector<Lsn> uses(offsets.back());
+  std::vector<uint32_t> next(offsets.begin(), offsets.end() - 1);
+  for (const OpLogEntry& entry : log.entries) {
+    log.ForEachDef(entry, [&](Lsn def) { uses[next[static_cast<size_t>(def)]++] = entry.lsn; });
+  }
+
   std::ostringstream out;
   for (const OpLogEntry& entry : log.entries) {
     out << FormatOpLogEntry(log, entry);
-    const std::vector<Lsn>& uses = log.dug[static_cast<size_t>(entry.lsn)];
-    if (!uses.empty()) {
+    size_t d = static_cast<size_t>(entry.lsn);
+    if (offsets[d] != offsets[d + 1]) {
       out << "   uses:";
-      for (Lsn use : uses) {
-        out << " L" << use;
+      for (uint32_t i = offsets[d]; i < offsets[d + 1]; ++i) {
+        out << " L" << uses[i];
       }
     }
     out << "\n";

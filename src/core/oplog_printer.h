@@ -11,7 +11,8 @@ namespace pevm {
 // One line per entry: LSN, opcode, operands with their definitions, result.
 std::string FormatOpLogEntry(const TxLog& log, const OpLogEntry& entry);
 
-// The whole log plus the definition-use edges.
+// The whole log plus the definition-use edges, derived from the entries'
+// defs: each entry's "uses:" lists the later entries reading its result.
 std::string FormatOpLog(const TxLog& log);
 
 }  // namespace pevm

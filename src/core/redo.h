@@ -1,10 +1,17 @@
 // The redo phase (paper §5.3, Algorithm 1): given the conflicting storage
 // keys and their freshly committed values, patch the type-I read sources,
-// DFS the definition-use graph to find every dependent operation, re-execute
-// them in LSN order via the pure evaluator, and verify every constraint
+// find every operation the definition-use graph reaches from them, re-execute
+// those in LSN order via the pure evaluator, and verify every constraint
 // guard. On success the transaction's write set is rebuilt from the log's
-// latest_writes table; on any guard failure the caller falls back to full
+// latest writes; on any guard failure the caller falls back to full
 // re-execution (the paper's abort-and-restart write phase).
+//
+// RunRedo reads the flat log in place (oplog.h). The graph is not stored:
+// every def edge names an earlier entry, so one pass in log order marks
+// exactly the entries the paper's DFS visits. The marks live in a buffer each
+// thread reuses and pure ops read their operands straight from the operand
+// pool, so once that buffer has grown a redo allocates only its result's
+// write set.
 #ifndef SRC_CORE_REDO_H_
 #define SRC_CORE_REDO_H_
 
@@ -21,7 +28,7 @@ using ConflictMap = std::unordered_map<StateKey, U256, StateKeyHash>;
 
 struct RedoResult {
   bool success = false;
-  size_t dfs_visited = 0;  // DUG nodes reached from the conflict sources.
+  size_t dfs_visited = 0;  // Entries the def-use graph reaches from the sources (incl.).
   size_t reexecuted = 0;   // Entries actually re-executed (excl. sources).
   // Valid only when success: the repaired write set.
   WriteSet write_set;
@@ -33,12 +40,12 @@ struct RedoResult {
 RedoResult RunRedo(TxLog& log, const ConflictMap& conflicts,
                    const std::function<U256(const StateKey&)>& committed);
 
-// Rebuilds a write set from the log's latest_writes table (also used to
-// cross-check the builder against StateView in tests).
+// Rebuilds a write set from the log's latest writes (KeyRecord::latest_write;
+// also used to cross-check the builder against StateView in tests).
 WriteSet WriteSetFromLog(const TxLog& log);
 
 // Rebuilds the receipt's output bytes from the log's return-output provenance
-// (TxLog::return_bytes/return_deps): constant bytes stay as captured,
+// (TxLog::ReturnBytes/ReturnDeps): constant bytes stay as captured,
 // dependent runs are re-sliced from their defining entries' current results.
 // Call after a successful RunRedo; the result then matches what a fresh
 // execution against the patched read values would have returned. Returns the

@@ -1,15 +1,26 @@
 // Dynamic SSA operation-log generation (paper §5.2): an evm::Tracer that
 // mirrors the interpreter with a shadow stack per frame, a byte-granular
 // shadow memory per frame (Fig. 8), shadow calldata/returndata provenance
-// across message calls, the latest_writes / direct_reads storage-flow tables
-// (§5.2.2), and constraint-guard generation for control flow, runtime-context
-// addresses and dynamic gas (§5.2.4). Constant folding is built in: an
-// operation whose inputs are all transaction constants produces no log entry
-// (§6.4 — this is what shrinks the log to ~5% of executed instructions).
+// across message calls, the per-key direct-read / latest-write storage-flow
+// records (§5.2.2), and constraint-guard generation for control flow,
+// runtime-context addresses and dynamic gas (§5.2.4). Constant folding is
+// built in: an operation whose inputs are all transaction constants produces
+// no log entry (§6.4 — this is what shrinks the log to ~5% of executed
+// instructions).
+//
+// Scratch. The shadow frames, the calls in flight, the slice buffer and the
+// log under construction live in a scratch object that keeps its capacity
+// across transactions. A builder takes one from its thread's free list when
+// constructed and returns it when destroyed, so constructing a builder per
+// transaction is cheap and, once the thread has built a transaction of
+// similar shape, allocates nothing until TakeLog. Two builders alive at once
+// on one thread each hold their own scratch. TakeLog copies the log out at
+// exact size; the copy shares nothing with the scratch.
 #ifndef SRC_CORE_SSA_BUILDER_H_
 #define SRC_CORE_SSA_BUILDER_H_
 
-#include <optional>
+#include <initializer_list>
+#include <memory>
 #include <vector>
 
 #include "src/core/oplog.h"
@@ -28,13 +39,15 @@ class SsaBuilder final : public Tracer {
 
   SsaBuilder() : SsaBuilder(Options{}) {}
   explicit SsaBuilder(const Options& options);
+  ~SsaBuilder() override;
+  SsaBuilder(const SsaBuilder&) = delete;
+  SsaBuilder& operator=(const SsaBuilder&) = delete;
 
-  // Hands over the finished log. The builder is in an unspecified state
-  // afterwards; construct a fresh one per transaction.
-  TxLog TakeLog();
+  // Returns the finished log, each array copied out at its exact size.
+  TxLog TakeLog() const;
 
   // Marks the transaction un-redoable (invalid envelope, executor policy).
-  void MarkNotRedoable() { log_.redoable = false; }
+  void MarkNotRedoable();
 
   // --- Tracer interface. ---
   void OnFrameEnter(const Message& msg) override;
@@ -86,21 +99,36 @@ class SsaBuilder final : public Tracer {
     // Definition of this frame's msg.value (CALLVALUE provenance); kNullLsn
     // when the value is a transaction constant.
     Lsn value_def = kNullLsn;
+
+    void Reset();
   };
 
-  // A CALL in flight: operand-derived geometry plus the amount operand's def.
+  // A CALL in flight: the amount operand's def plus the callee's calldata
+  // provenance.
   struct PendingCall {
     Lsn value_def = kNullLsn;
     std::vector<ByteDef> input_provenance;
   };
 
-  ShadowFrame& frame() { return frames_.back(); }
+  // Defined in ssa_builder.cc.
+  struct Scratch;
+  // Scratch not held by a live builder on the calling thread.
+  static std::vector<std::unique_ptr<Scratch>>& FreeScratch();
 
-  // Appends an entry, wiring DUG edges from every non-null def.
+  TxLog& log();
+  ShadowFrame& frame();
+
+  // Appends an entry and returns its LSN.
   Lsn Append(OpLogEntry entry);
+  // Adds operands (with their defs) to the log's operand pool.
+  PoolRange AddOperands(std::initializer_list<Operand> operands);
+  // Adds bytes to the log's byte pool.
+  PoolRange AddBytes(BytesView data);
+  // The index of `key` in the log's key table, adding it if new.
+  int32_t InternKey(const StateKey& key);
 
   Lsn PopDef();
-  void PushDef(Lsn lsn) { frame().stack.push_back(lsn); }
+  void PushDef(Lsn lsn);
 
   // Emits ASSERT_EQ guarding `value` against its defining op (no-op when the
   // operand is a constant).
@@ -108,31 +136,31 @@ class SsaBuilder final : public Tracer {
   // Emits ASSERT_GE(lhs >= rhs) unless both sides are constants.
   void GuardGe(const U256& lhs, Lsn lhs_def, const U256& rhs, Lsn rhs_def);
 
-  // Returns the defining LSN for the current value of `key`, creating a
-  // kCommittedRead source entry (and a direct_reads record) when the key has
-  // not been written in this transaction.
-  Lsn ReadStateKey(const StateKey& key, const U256& observed);
+  // Returns the defining LSN for the current value of key `key` (a key-table
+  // index), creating a kCommittedRead source entry (the key's direct read)
+  // when the key has not been written in this transaction.
+  Lsn ReadStateKey(int32_t key, const U256& observed);
 
-  // Records a balance/nonce write entry as the key's latest write.
-  void RecordWrite(const StateKey& key, Lsn lsn) { log_.latest_writes[key] = lsn; }
+  // Records a write entry as the key's latest write.
+  void RecordWrite(int32_t key, Lsn lsn);
 
   // Reads `len` provenance cells starting at `off` from `cells` (null-padded
-  // past the end).
-  static std::vector<ByteDef> Slice(const std::vector<ByteDef>& cells, uint64_t off,
+  // past the end) into the scratch slice buffer, valid until the next Slice.
+  const std::vector<ByteDef>& Slice(const std::vector<ByteDef>& cells, uint64_t off,
                                     uint64_t len);
   // True if every cell is a constant.
   static bool AllConstant(const std::vector<ByteDef>& cells);
-  // Coalesces cells into MemDep runs.
-  static std::vector<MemDep> CollectDeps(const std::vector<ByteDef>& cells);
+  // Coalesces cells into MemDep runs in the log's dependency pool.
+  PoolRange CollectDeps(const std::vector<ByteDef>& cells);
 
+  // The current frame's shadow memory, grown to at least `end` cells.
+  std::vector<ByteDef>& ShadowMemory(uint64_t end);
   // Writes provenance cells into the current frame's shadow memory.
   void WriteShadowMemory(uint64_t dst, const std::vector<ByteDef>& cells);
   void WriteShadowMemoryConstant(uint64_t dst, uint64_t len);
 
   Options options_;
-  TxLog log_;
-  std::vector<ShadowFrame> frames_;
-  std::vector<PendingCall> pending_calls_;
+  std::unique_ptr<Scratch> scratch_;
 };
 
 }  // namespace pevm

@@ -12,9 +12,13 @@
 #include "src/baselines/block_stm.h"
 #include "src/baselines/occ.h"
 #include "src/baselines/serial.h"
+#include "src/core/oplog_printer.h"
 #include "src/core/parallel_evm.h"
+#include "src/core/redo.h"
 #include "src/core/scheduled.h"
+#include "src/exec/pipeline.h"
 #include "src/exec/thread_pool.h"
+#include "src/support/keccak.h"
 #include "src/workload/block_gen.h"
 
 namespace pevm {
@@ -234,6 +238,189 @@ TEST(PerOpLogPinTest, ParallelEvmStreamCountersArePinned) {
     EXPECT_EQ(HexEncode(state.StateRoot()),
               "5c55f9cc403b666311bc5664510c77ff693bf8f5a4f7fbeac55602456fbd33b3");
   }
+}
+
+// Full-field serialization of one SSA log, for PerOpLogPinTest below. It
+// covers what FormatOpLog truncates or omits (full values, input bytes,
+// prior_def, result_width, the key tables, the return provenance), so a
+// change to the log's layout that alters any field changes the digest. Key
+// tables are written as (key, lsn) rows sorted by key, so the digest does not
+// depend on how the tables are stored.
+void AppendInt(Bytes& out, int64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    out.push_back(static_cast<uint8_t>(static_cast<uint64_t>(v) >> (8 * i)));
+  }
+}
+
+void AppendWord(Bytes& out, const U256& v) {
+  std::array<uint8_t, 32> be = v.ToBigEndian();
+  out.insert(out.end(), be.begin(), be.end());
+}
+
+Bytes KeyBytes(const StateKey& key) {
+  Bytes out(key.address.view().begin(), key.address.view().end());
+  out.push_back(static_cast<uint8_t>(key.kind));
+  AppendWord(out, key.slot);
+  return out;
+}
+
+void AppendDeps(Bytes& out, std::span<const MemDep> deps) {
+  AppendInt(out, static_cast<int64_t>(deps.size()));
+  for (const MemDep& dep : deps) {
+    AppendInt(out, dep.start);
+    AppendInt(out, dep.len);
+    AppendInt(out, dep.lsn);
+    AppendInt(out, dep.offset);
+  }
+}
+
+void AppendRows(Bytes& out, std::vector<std::pair<Bytes, Lsn>> rows) {
+  std::sort(rows.begin(), rows.end());
+  AppendInt(out, static_cast<int64_t>(rows.size()));
+  for (const auto& [key, lsn] : rows) {
+    out.insert(out.end(), key.begin(), key.end());
+    AppendInt(out, lsn);
+  }
+}
+
+void AppendLog(Bytes& out, const TxLog& log) {
+  AppendInt(out, static_cast<int64_t>(log.size()));
+  for (const OpLogEntry& e : log.entries) {
+    AppendInt(out, e.lsn);
+    out.push_back(static_cast<uint8_t>(e.op));
+    AppendInt(out, static_cast<int64_t>(log.Operands(e).size()));
+    for (const Operand& operand : log.Operands(e)) {
+      AppendWord(out, operand.value);
+      AppendInt(out, operand.def);
+    }
+    AppendInt(out, e.def_storage);
+    AppendDeps(out, log.DefMemory(e));
+    AppendInt(out, static_cast<int64_t>(log.InputBytes(e).size()));
+    out.insert(out.end(), log.InputBytes(e).begin(), log.InputBytes(e).end());
+    AppendWord(out, e.result);
+    out.push_back(e.result_width);
+    out.push_back(e.has_key() ? 1 : 0);
+    if (e.has_key()) {
+      Bytes key = KeyBytes(log.Key(e));
+      out.insert(out.end(), key.begin(), key.end());
+    }
+    AppendInt(out, e.dyn_gas);
+    AppendInt(out, e.prior_def);
+  }
+  std::vector<std::pair<Bytes, Lsn>> reads;
+  for (const KeyRecord& record : log.keys) {
+    if (record.direct_read != kNullLsn) {
+      reads.emplace_back(KeyBytes(record.key), record.direct_read);
+    }
+  }
+  AppendRows(out, std::move(reads));
+  std::vector<std::pair<Bytes, Lsn>> writes;
+  for (const KeyRecord& record : log.keys) {
+    if (record.latest_write != kNullLsn) {
+      writes.emplace_back(KeyBytes(record.key), record.latest_write);
+    }
+  }
+  AppendRows(out, std::move(writes));
+  std::vector<std::pair<Bytes, Lsn>> sstores;
+  for (const KeyRecord& record : log.keys) {
+    if (record.committed_prior_sstore != kNullLsn) {
+      sstores.emplace_back(KeyBytes(record.key), record.committed_prior_sstore);
+    }
+  }
+  AppendRows(out, std::move(sstores));
+  out.push_back(log.redoable ? 1 : 0);
+  out.push_back(log.has_return ? 1 : 0);
+  AppendInt(out, static_cast<int64_t>(log.ReturnBytes().size()));
+  out.insert(out.end(), log.ReturnBytes().begin(), log.ReturnBytes().end());
+  AppendDeps(out, log.ReturnDeps());
+}
+
+void AppendRedo(Bytes& out, const RedoResult& redo) {
+  out.push_back(redo.success ? 1 : 0);
+  AppendInt(out, static_cast<int64_t>(redo.dfs_visited));
+  AppendInt(out, static_cast<int64_t>(redo.reexecuted));
+  std::vector<std::pair<Bytes, U256>> writes;
+  for (const auto& [key, value] : redo.write_set) {
+    writes.emplace_back(KeyBytes(key), value);
+  }
+  std::sort(writes.begin(), writes.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  AppendInt(out, static_cast<int64_t>(writes.size()));
+  for (const auto& [key, value] : writes) {
+    out.insert(out.end(), key.begin(), key.end());
+    AppendWord(out, value);
+  }
+}
+
+// The log-layout gate: every log of the pinned stream, speculated against its
+// block's start state, printed (digest a) and fully serialized (digest b).
+// Digest b also covers redo twice per log, each on its own copy: against the
+// state its transaction commits on in serial order (the executor's commit
+// path, where most repairs succeed), and against the block's end state (where
+// the sender's own nonce bump makes every log conflict and redo fail part
+// way). Both digests were recorded before the log moved to its flat layout;
+// any change to what the builder records or to what redo computes moves them.
+TEST(PerOpLogPinTest, LogsOfSeededStreamArePinned) {
+  WorkloadConfig config;
+  config.users = 300;
+  config.seed = 1;
+  WorkloadGenerator gen(config);
+  WorldState state = gen.MakeGenesis();
+  std::vector<Block> blocks;
+  for (int b = 0; b < 6; ++b) {
+    blocks.push_back(gen.MakeBlock());
+  }
+  for (int b = 0; b < 2; ++b) {
+    blocks.push_back(gen.MakeHotContractBlock(200));
+  }
+  std::string printed;
+  Bytes serialized;
+  size_t logs = 0;
+  size_t redone = 0;
+  size_t repaired = 0;
+  SerialExecutor serial(ExecOptions{});
+  auto redo = [&](TxLog& log, const ReadSet& reads, const WorldState& against) {
+    ConflictMap conflicts = FindConflicts(reads, against);
+    if (conflicts.empty()) {
+      return;
+    }
+    RedoResult result =
+        RunRedo(log, conflicts, [&against](const StateKey& key) { return against.Get(key); });
+    ++redone;
+    repaired += result.success ? 1 : 0;
+    AppendRedo(serialized, result);
+    AppendLog(serialized, log);
+  };
+  for (const Block& block : blocks) {
+    std::vector<Speculation> specs;
+    for (const Transaction& tx : block.transactions) {
+      specs.push_back(SpeculateTransaction(state, block.context, tx, /*with_log=*/true));
+    }
+    WorldState running = state;
+    serial.Execute(block, state);
+    for (size_t i = 0; i < specs.size(); ++i) {
+      Speculation& spec = specs[i];
+      ++logs;
+      printed += FormatOpLog(spec.log);
+      AppendLog(serialized, spec.log);
+      TxLog at_end = spec.log;
+      redo(spec.log, spec.reads, running);
+      redo(at_end, spec.reads, state);
+      Speculation truth =
+          SpeculateTransaction(running, block.context, block.transactions[i], false);
+      if (truth.receipt.valid) {
+        running.Apply(truth.writes);
+      }
+    }
+  }
+  EXPECT_EQ(logs, 1'600u);
+  EXPECT_EQ(redone, 2'764u);  // 1,164 at commit (as pinned above) + 1,600 at block end.
+  EXPECT_EQ(repaired, 1'038u);
+  EXPECT_EQ(HexEncode(Keccak256(BytesView(reinterpret_cast<const uint8_t*>(printed.data()),
+                                          printed.size()))),
+            "0546e83eaf5451ebb2c1c3e3504857f2d4a446a764381fb12666997faf0b5a02");
+  EXPECT_EQ(HexEncode(Keccak256(serialized)),
+            "e40b493c1e64ae0cc73f3a43bbf347dc8a26f7d0d8aad0b90ccb4f41f536a671");
 }
 
 TEST_F(DeterminismTest, ProposerIsOsThreadCountInvariant) {

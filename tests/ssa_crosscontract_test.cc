@@ -93,10 +93,13 @@ TEST_F(CrossContractTest, SwapLogSpansAllThreeContracts) {
   bool wrote_pool = false;
   bool wrote_token0 = false;
   bool wrote_token1 = false;
-  for (const auto& [key, lsn] : spec.log.latest_writes) {
-    wrote_pool |= key.address == kPool;
-    wrote_token0 |= key.address == kToken0;
-    wrote_token1 |= key.address == kToken1;
+  for (const KeyRecord& record : spec.log.keys) {
+    if (record.latest_write == kNullLsn) {
+      continue;
+    }
+    wrote_pool |= record.key.address == kPool;
+    wrote_token0 |= record.key.address == kToken0;
+    wrote_token1 |= record.key.address == kToken1;
   }
   EXPECT_TRUE(wrote_pool);
   EXPECT_TRUE(wrote_token0);

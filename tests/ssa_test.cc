@@ -118,8 +118,8 @@ TEST_F(SsaScenarioTest, DirectReadsCoverCommittedKeys) {
   // by an SSTORE gas recheck — otherwise the redo phase could not repair a
   // conflict on it.
   for (const auto& [key, value] : spec.reads) {
-    EXPECT_TRUE(spec.log.direct_reads.contains(key) ||
-                spec.log.committed_prior_sstores.contains(key))
+    EXPECT_TRUE(spec.log.DirectRead(key) != kNullLsn ||
+                spec.log.CommittedPriorSstore(key) != kNullLsn)
         << key.ToString();
   }
 }
