@@ -1,5 +1,6 @@
 #include "src/chain/commit.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "src/support/rlp.h"
@@ -7,11 +8,6 @@
 
 namespace pevm {
 namespace {
-
-Hash256 SlotKey(const U256& slot) {
-  std::array<uint8_t, 32> be = slot.ToBigEndian();
-  return Keccak256(BytesView(be.data(), be.size()));
-}
 
 uint64_t MonoNs() {
   return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -26,16 +22,25 @@ IncrementalStateTrie::IncrementalStateTrie(const WorldState& genesis, NodeStore*
     : pool_(std::make_unique<ThreadPool>(ThreadPool::ResolveWidth(
           options.os_threads > 0 ? options.os_threads : 1))),
       store_(store) {
-  // Phase 1: keccak every address key in parallel (the dominant seeding cost
-  // after storage tries), then bucket accounts by shard on this thread.
+  // Phase 1: keccak every address key, in one batch per slice of the
+  // accounts with the slices in parallel, then bucket accounts by shard on
+  // this thread.
   std::vector<const std::pair<const Address, Account>*> items;
+  std::vector<BytesView> addresses;
   items.reserve(genesis.accounts().size());
+  addresses.reserve(genesis.accounts().size());
   for (const auto& kv : genesis.accounts()) {
     items.push_back(&kv);
+    addresses.push_back(kv.first.view());
   }
   std::vector<Hash256> addr_keys(items.size());
-  pool_->ParallelFor(items.size(),
-                     [&](size_t i) { addr_keys[i] = Keccak256(items[i]->first.view()); });
+  const size_t slice = (items.size() + ShardedMpt::kShards - 1) / ShardedMpt::kShards;
+  pool_->ParallelFor(ShardedMpt::kShards, [&](size_t s) {
+    const size_t begin = std::min(items.size(), s * slice);
+    const size_t count = std::min(items.size() - begin, slice);
+    Keccak256Batch(std::span<const BytesView>(addresses).subspan(begin, count),
+                   std::span<Hash256>(addr_keys).subspan(begin, count));
+  });
   std::array<std::vector<size_t>, ShardedMpt::kShards> buckets;
   for (size_t i = 0; i < items.size(); ++i) {
     int shard = addr_keys[i][0] >> 4;
@@ -44,25 +49,48 @@ IncrementalStateTrie::IncrementalStateTrie(const WorldState& genesis, NodeStore*
   }
 
   // Phase 2: build each shard — entries, storage tries, subtrie, warm root
-  // ref — fully independently.
+  // ref — fully independently. A shard hashes all its slot keys in one
+  // batch and prehashes all its storage tries together before it encodes
+  // the account bodies that carry their roots.
   pool_->ParallelFor(ShardedMpt::kShards, [&](size_t s) {
     PEVM_TRACE_SPAN_ARG("commit.seed_shard", "shard", s);
-    std::vector<TrieUpdate> updates;
-    updates.reserve(buckets[s].size());
+    ShardState& shard = shards_[s];
+    // Local, not the shard's replay scratch: the whole image's slot keys
+    // would stay allocated for the trie's lifetime.
+    Keccak256WordBatch slot_batch;
+    for (size_t i : buckets[s]) {
+      for (const auto& [slot, value] : items[i]->second.storage) {
+        if (!value.IsZero()) {
+          slot_batch.Add(slot);
+        }
+      }
+    }
+    std::span<const Hash256> slot_keys = slot_batch.Hash();
     for (size_t i : buckets[s]) {
       const auto& [address, account] = *items[i];
-      AccountEntry& entry = shards_[s].entries[address];
+      AccountEntry& entry = shard.entries[address];
       entry.balance = account.balance;
       entry.nonce = account.nonce;
-      entry.code_hash = Keccak256(account.code);
+      const Hash256* code_hash = genesis.GetCodeHash(address);
+      entry.code_hash = code_hash != nullptr ? *code_hash : Keccak256(account.code);
       entry.addr_key = addr_keys[i];
       for (const auto& [slot, value] : account.storage) {
         if (value.IsZero()) {
           continue;
         }
-        Hash256 key = SlotKey(slot);
+        const Hash256& key = slot_keys.front();
+        slot_keys = slot_keys.subspan(1);
         entry.storage.Put(BytesView(key.data(), key.size()), RlpEncodeUint(value));
       }
+    }
+    shard.tries.clear();
+    for (const auto& [address, entry] : shard.entries) {
+      shard.tries.push_back(&entry.storage);
+    }
+    MerklePatriciaTrie::Prehash(shard.tries);
+    std::vector<TrieUpdate> updates;
+    updates.reserve(shard.entries.size());
+    for (const auto& [address, entry] : shard.entries) {
       TrieUpdate update;
       update.key.assign(entry.addr_key.begin(), entry.addr_key.end());
       update.value =
@@ -133,13 +161,22 @@ void IncrementalStateTrie::ReplayShard(int shard_index) {
   // Replay this shard's journal slice in order with WorldState's exact
   // mutation semantics, then re-encode each dirty account body once.
   // Account-trie insertion order does not matter (the MPT is canonical), only
-  // the final bodies do.
+  // the final bodies do. The slice's slot keys are hashed in one batch up
+  // front, and the dirty storage tries re-hashed together before the bodies
+  // read their roots.
   ShardState& shard = shards_[shard_index];
   auto mark_dirty = [&shard](const Address& address) {
     if (shard.dirty_seen.insert(address).second) {
       shard.dirty.push_back(address);
     }
   };
+  shard.slot_keys.Clear();
+  for (const auto* op : shard.ops) {
+    if (op->first.kind == StateKeyKind::kStorage) {
+      shard.slot_keys.Add(op->first.slot);
+    }
+  }
+  std::span<const Hash256> slot_keys = shard.slot_keys.Hash();
   for (const auto* op : shard.ops) {
     const StateKey& key = op->first;
     const U256& value = op->second;
@@ -152,7 +189,9 @@ void IncrementalStateTrie::ReplayShard(int shard_index) {
         Ensure(shard, key.address).nonce = value.AsUint64();
         mark_dirty(key.address);
         break;
-      case StateKeyKind::kStorage:
+      case StateKeyKind::kStorage: {
+        const BytesView slot_key(slot_keys.front().data(), 32);
+        slot_keys = slot_keys.subspan(1);
         if (value.IsZero()) {
           // Clearing a slot never materializes the account (mirrors
           // WorldState::SetStorage).
@@ -160,24 +199,28 @@ void IncrementalStateTrie::ReplayShard(int shard_index) {
           if (it == shard.entries.end()) {
             break;
           }
-          Hash256 slot_key = SlotKey(key.slot);
-          it->second.storage.Delete(BytesView(slot_key.data(), slot_key.size()));
+          it->second.storage.Delete(slot_key);
           mark_dirty(key.address);
           if (store_ != nullptr) {
             shard.storage_ops.push_back({key.address, key.slot, value});
           }
         } else {
           AccountEntry& entry = Ensure(shard, key.address);
-          Hash256 slot_key = SlotKey(key.slot);
-          entry.storage.Put(BytesView(slot_key.data(), slot_key.size()), RlpEncodeUint(value));
+          entry.storage.Put(slot_key, RlpEncodeUint(value));
           mark_dirty(key.address);
           if (store_ != nullptr) {
             shard.storage_ops.push_back({key.address, key.slot, value});
           }
         }
         break;
+      }
     }
   }
+  shard.tries.clear();
+  for (const Address& address : shard.dirty) {
+    shard.tries.push_back(&shard.entries.at(address).storage);
+  }
+  MerklePatriciaTrie::Prehash(shard.tries);
   std::vector<TrieUpdate> updates;
   updates.reserve(shard.dirty.size());
   for (const Address& address : shard.dirty) {

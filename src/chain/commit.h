@@ -155,6 +155,10 @@ class IncrementalStateTrie {
     std::vector<Address> dirty;                         // First-touch order.
     std::unordered_set<Address> dirty_seen;
     std::vector<StorageOp> storage_ops;  // Buffered flat-mirror writes.
+    // Replay scratch: the slice's slot keys, hashed in one batch, and the
+    // dirty accounts' storage tries, prehashed together.
+    Keccak256WordBatch slot_keys;
+    std::vector<const MerklePatriciaTrie*> tries;
     // Accounts whose storage trie may hold unharvested nodes, accumulated
     // across ApplyDiff calls until the next CommitBatch.
     std::unordered_set<Address> storage_dirty;

@@ -58,7 +58,7 @@ Speculation SpeculateIntoView(StateView& view, const BlockContext& context,
   } else {
     spec.receipt = ApplyTransaction(view, context, tx, nullptr, provider);
   }
-  spec.reads = view.read_set();
+  spec.reads = view.take_read_set();
   spec.writes = view.take_write_set();
   return spec;
 }

@@ -39,29 +39,43 @@ SnapshotRegistry::SnapshotRegistry(const WorldState& base, const Hash256& base_r
 void SnapshotRegistry::Publish(uint64_t block_index, const Hash256& root,
                                const StateDiff& diff) {
   PEVM_TRACE_SPAN_ARG("query.publish_snapshot", "block", block_index);
-  // Collapse the ordered journal to last-writer-wins — the value a serial
-  // replay stopped after this block would observe. Partition by shard so each
-  // shard's write lock is taken once.
-  std::unordered_map<StateKey, U256, StateKeyHash> last[kShards];
-  for (const auto& [key, value] : diff) {
-    last[StateKeyHash{}(key) % kShards][key] = value;
+  // Append the journal's writes in order. A key written again in the same
+  // block overwrites that block's version, so each chain ends in the block's
+  // last write — the value a serial replay stopped after this block would
+  // observe. Partition by shard first so each shard's write lock is taken
+  // once.
+  for (auto& part : publish_parts_) {
+    part.clear();
   }
-  uint64_t appended = 0;
+  for (const auto& write : diff) {
+    publish_parts_[ShardIndex(write.first)].push_back(&write);
+  }
+  BlockKeys listed;
+  listed.block = block_index;
+  listed.keys.reserve(diff.size());
   for (size_t s = 0; s < kShards; ++s) {
-    if (last[s].empty()) {
+    listed.start[s] = listed.keys.size();
+    if (publish_parts_[s].empty()) {
       continue;
     }
     std::unique_lock<std::shared_mutex> lock(shards_[s].mu);
-    for (const auto& [key, value] : last[s]) {
-      shards_[s].chains[key].emplace_back(block_index, value);
-      ++appended;
+    for (const auto* write : publish_parts_[s]) {
+      auto& chain = shards_[s].keys[write->first].chain;
+      if (!chain.empty() && chain.back().first == block_index) {
+        chain.back().second = write->second;
+      } else {
+        chain.emplace_back(block_index, write->second);
+        listed.keys.push_back(write->first);
+      }
     }
   }
+  listed.start[kShards] = listed.keys.size();
 
   uint64_t floor;
   {
     std::lock_guard<std::mutex> lock(table_mu_);
-    stats_.versions_appended += appended;
+    stats_.versions_appended += listed.keys.size();
+    block_keys_.push_back(std::move(listed));
     entries_.emplace(block_index, SnapEntry{root, 0, false});
     latest_block_ = block_index;
     ++stats_.published;
@@ -118,21 +132,20 @@ U256 SnapshotRegistry::ReadAt(const StateKey& key, uint64_t block) const {
   const Shard& shard = ShardFor(key);
   {
     std::shared_lock<std::shared_mutex> lock(shard.mu);
-    auto it = shard.chains.find(key);
-    if (it != shard.chains.end()) {
+    auto it = shard.keys.find(key);
+    if (it != shard.keys.end()) {
       // Newest-first scan: chains are block-ascending and short (≤ retain
       // entries plus whatever a deferred prune is still holding).
-      const auto& chain = it->second;
+      const auto& chain = it->second.chain;
       for (auto v = chain.rbegin(); v != chain.rend(); ++v) {
         if (v->first <= block) {
           return v->second;
         }
       }
-    }
-    auto folded = shard.folded.find(key);
-    if (folded != shard.folded.end()) {
-      // Folded versions are ≤ floor ≤ every live handle's block.
-      return folded->second;
+      if (it->second.folded) {
+        // Folded versions are ≤ floor ≤ every live handle's block.
+        return *it->second.folded;
+      }
     }
   }
   return base_.Get(key);
@@ -160,33 +173,43 @@ uint64_t SnapshotRegistry::FloorLocked() const {
 }
 
 void SnapshotRegistry::PruneTo(uint64_t floor) {
+  // Every version ≤ floor belongs to a block ≤ floor, whose list names its
+  // key. A key in several claimed lists is folded on its first visit; a
+  // concurrent prune that claimed later lists folds it at most further.
+  std::vector<BlockKeys> claimed;
   {
     std::lock_guard<std::mutex> lock(table_mu_);
     if (floor <= pruned_floor_) {
       return;
     }
     pruned_floor_ = floor;
+    while (!block_keys_.empty() && block_keys_.front().block <= floor) {
+      claimed.push_back(std::move(block_keys_.front()));
+      block_keys_.pop_front();
+    }
   }
   uint64_t folded = 0;
-  for (Shard& shard : shards_) {
-    std::unique_lock<std::shared_mutex> lock(shard.mu);
-    for (auto it = shard.chains.begin(); it != shard.chains.end();) {
-      auto& chain = it->second;
-      size_t keep = 0;  // First index with block > floor.
-      while (keep < chain.size() && chain[keep].first <= floor) {
-        ++keep;
+  for (const BlockKeys& listed : claimed) {
+    for (size_t s = 0; s < kShards; ++s) {
+      if (listed.start[s] == listed.start[s + 1]) {
+        continue;
       }
-      if (keep > 0) {
-        // The newest pruned version becomes the folded value: any handle at
-        // block ≥ floor that misses the chain resolves to exactly it.
-        shard.folded[it->first] = chain[keep - 1].second;
-        chain.erase(chain.begin(), chain.begin() + static_cast<ptrdiff_t>(keep));
-        folded += keep;
-      }
-      if (chain.empty()) {
-        it = shard.chains.erase(it);
-      } else {
-        ++it;
+      Shard& shard = shards_[s];
+      std::unique_lock<std::shared_mutex> lock(shard.mu);
+      for (size_t i = listed.start[s]; i < listed.start[s + 1]; ++i) {
+        KeyVersions& versions = shard.keys.at(listed.keys[i]);
+        auto& chain = versions.chain;
+        size_t keep = 0;  // First index with block > floor.
+        while (keep < chain.size() && chain[keep].first <= floor) {
+          ++keep;
+        }
+        if (keep > 0) {
+          // The newest pruned version becomes the folded value: any handle at
+          // block ≥ floor that misses the chain resolves to exactly it.
+          versions.folded = chain[keep - 1].second;
+          chain.erase(chain.begin(), chain.begin() + static_cast<ptrdiff_t>(keep));
+          folded += keep;
+        }
       }
     }
   }
@@ -226,7 +249,9 @@ size_t SnapshotRegistry::version_keys() const {
   size_t n = 0;
   for (const Shard& shard : shards_) {
     std::shared_lock<std::shared_mutex> lock(shard.mu);
-    n += shard.chains.size();
+    for (const auto& [key, versions] : shard.keys) {
+      n += versions.chain.empty() ? 0 : 1;
+    }
   }
   return n;
 }

@@ -27,7 +27,9 @@
 // into the per-key folded value; any live handle sits at a block ≥ floor, so
 // the fold is invisible to it by construction. A long-running query therefore
 // never observes a torn or reclaimed value: its handle holds the floor down
-// until it releases.
+// until it releases. Each published block's list of keys is kept until the
+// block falls to the floor, so a prune visits only the keys of the blocks
+// leaving the window, never the whole versioned key set.
 //
 // Correctness contract (mirrors PR 5/7 inertness): a read at snapshot S is
 // bit-identical to reading a WorldState produced by serially replaying the
@@ -41,9 +43,12 @@
 #ifndef SRC_QUERY_SNAPSHOT_H_
 #define SRC_QUERY_SNAPSHOT_H_
 
+#include <array>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <unordered_map>
 #include <utility>
@@ -175,13 +180,21 @@ class SnapshotRegistry {
 
   static constexpr size_t kShards = 16;
 
+  // Everything the registry holds for one key, in one map node so a read or
+  // a prune finds both parts with one lookup.
+  struct KeyVersions {
+    // Version chain, block-ascending (one entry per published block).
+    std::vector<std::pair<uint64_t, U256>> chain;
+    // Compaction: the newest pruned version (block ≤ floor, so visible to
+    // every live handle that misses the chain).
+    std::optional<U256> folded;
+  };
+
   struct Shard {
     mutable std::shared_mutex mu;
-    // Per-key version chain, block-ascending (one entry per published block).
-    std::unordered_map<StateKey, std::vector<std::pair<uint64_t, U256>>, StateKeyHash> chains;
-    // Compaction: the newest pruned version of each key (block ≤ floor, so
-    // visible to every live handle that misses the chain).
-    std::unordered_map<StateKey, U256, StateKeyHash> folded;
+    // Every key ever published; a key's node outlives its chain to keep
+    // the folded value.
+    std::unordered_map<StateKey, KeyVersions, StateKeyHash> keys;
   };
 
   struct SnapEntry {
@@ -190,18 +203,26 @@ class SnapshotRegistry {
     bool retired = false;
   };
 
-  Shard& ShardFor(const StateKey& key) { return shards_[StateKeyHash{}(key) % kShards]; }
-  const Shard& ShardFor(const StateKey& key) const {
-    return shards_[StateKeyHash{}(key) % kShards];
-  }
+  // One published block's keys, one per version it appended, grouped by
+  // shard: shard s's keys are keys[start[s], start[s + 1]).
+  struct BlockKeys {
+    uint64_t block = 0;
+    std::vector<StateKey> keys;
+    std::array<size_t, kShards + 1> start{};
+  };
+
+  static size_t ShardIndex(const StateKey& key) { return StateKeyHash{}(key) % kShards; }
+  const Shard& ShardFor(const StateKey& key) const { return shards_[ShardIndex(key)]; }
 
   U256 ReadAt(const StateKey& key, uint64_t block) const;
   void Release(uint64_t block);
   // Oldest block any entry (pinned or retained) still names; callers hold
   // table_mu_.
   uint64_t FloorLocked() const;
-  // Folds every version ≤ floor into the shards' folded maps. Called outside
-  // table_mu_ (shard locks only); cheap no-op when the floor didn't move.
+  // Folds every version ≤ floor into its key's folded value, visiting the
+  // keys of the blocks at or below the floor. Called outside table_mu_
+  // (which it takes only to claim those blocks' key lists); cheap no-op when
+  // the floor didn't move.
   void PruneTo(uint64_t floor);
 
   const WorldState base_;  // Immutable after construction; lock-free reads.
@@ -213,8 +234,13 @@ class SnapshotRegistry {
   uint64_t live_pins_ = 0;
   uint64_t pruned_floor_ = 0;
   SnapshotStats stats_;
+  // Each published block's keys, oldest block first, until a prune claims
+  // them.
+  std::deque<BlockKeys> block_keys_;
 
   Shard shards_[kShards];
+  // Publish's partition of the diff by shard; only the publisher touches it.
+  std::vector<const std::pair<StateKey, U256>*> publish_parts_[kShards];
 };
 
 }  // namespace pevm

@@ -87,6 +87,7 @@ class StateView {
 
   const ReadSet& read_set() const { return reads_; }
   const WriteSet& write_set() const { return writes_; }
+  ReadSet take_read_set() { return std::move(reads_); }
   WriteSet take_write_set() { return std::move(writes_); }
 
   // Keys in first-base-read order (the 2PL baseline's lock-acquisition

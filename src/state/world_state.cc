@@ -145,23 +145,65 @@ Bytes RlpAccountBody(uint64_t nonce, const U256& balance, const Hash256& storage
 }
 
 Hash256 WorldState::StateRoot() const {
-  MerklePatriciaTrie state_trie;
+  // The same tries a per-account build makes, hashed in bulk. Storage roots
+  // are computed a group of accounts at a time: the group's slot keys are
+  // hashed in one batch and its storage tries prehashed together, then
+  // freed, so batches stay full while memory stays bounded by the group
+  // rather than by the state. The address keys are hashed in one batch.
+  constexpr size_t kGroupSlots = 4096;
+  std::vector<const Account*> accounts;
+  std::vector<BytesView> addresses;
+  accounts.reserve(accounts_.size());
+  addresses.reserve(accounts_.size());
   for (const auto& [addr, account] : accounts_) {
-    // Per-account storage trie.
-    MerklePatriciaTrie storage_trie;
-    for (const auto& [slot, value] : account.storage) {
-      if (value.IsZero()) {
-        continue;
+    accounts.push_back(&account);
+    addresses.push_back(addr.view());
+  }
+  std::vector<Hash256> storage_roots(accounts.size());
+  Keccak256WordBatch slot_batch;
+  std::vector<MerklePatriciaTrie> group;
+  std::vector<const MerklePatriciaTrie*> tries;
+  for (size_t begin = 0, end = 0; begin < accounts.size(); begin = end) {
+    slot_batch.Clear();
+    for (size_t slots = 0; end < accounts.size() && slots < kGroupSlots; ++end) {
+      for (const auto& [slot, value] : accounts[end]->storage) {
+        if (!value.IsZero()) {
+          slot_batch.Add(slot);
+          ++slots;
+        }
       }
-      std::array<uint8_t, 32> slot_be = slot.ToBigEndian();
-      Hash256 slot_key = Keccak256(BytesView(slot_be.data(), slot_be.size()));
-      storage_trie.Put(BytesView(slot_key.data(), slot_key.size()), RlpEncodeUint(value));
     }
-    Hash256 storage_root = storage_trie.RootHash();
-    Hash256 code_hash = Keccak256(account.code);
-    Hash256 addr_key = Keccak256(addr.view());
-    state_trie.Put(BytesView(addr_key.data(), addr_key.size()),
-                   RlpAccountBody(account.nonce, account.balance, storage_root, code_hash));
+    std::span<const Hash256> slot_keys = slot_batch.Hash();
+    group.clear();
+    group.resize(end - begin);
+    tries.clear();
+    for (size_t i = begin; i < end; ++i) {
+      MerklePatriciaTrie& trie = group[i - begin];
+      for (const auto& [slot, value] : accounts[i]->storage) {
+        if (!value.IsZero()) {
+          trie.Put(BytesView(slot_keys.front().data(), 32), RlpEncodeUint(value));
+          slot_keys = slot_keys.subspan(1);
+        }
+      }
+      tries.push_back(&trie);
+    }
+    MerklePatriciaTrie::Prehash(tries);
+    for (size_t i = begin; i < end; ++i) {
+      storage_roots[i] = group[i - begin].RootHash();
+    }
+  }
+  std::vector<Hash256> addr_keys(addresses.size());
+  Keccak256Batch(addresses, addr_keys);
+
+  const Hash256 empty_code_hash = Keccak256({});
+  MerklePatriciaTrie state_trie;
+  size_t i = 0;
+  for (const auto& [addr, account] : accounts_) {
+    const Hash256* code_hash = GetCodeHash(addr);
+    state_trie.Put(BytesView(addr_keys[i].data(), 32),
+                   RlpAccountBody(account.nonce, account.balance, storage_roots[i],
+                                  code_hash != nullptr ? *code_hash : empty_code_hash));
+    ++i;
   }
   return state_trie.RootHash();
 }

@@ -3,22 +3,45 @@
 #include <array>
 #include <algorithm>
 #include <cassert>
+#include <vector>
 
 #include "src/support/rlp.h"
 
 namespace pevm {
 namespace {
 
-// Converts a byte key into one nibble per element (high nibble first).
-Bytes ToNibbles(BytesView key) {
-  Bytes out;
-  out.reserve(key.size() * 2);
-  for (uint8_t b : key) {
-    out.push_back(b >> 4);
-    out.push_back(b & 0xf);
+// keccak(rlp("")) = keccak(0x80): the root of an empty trie.
+constexpr Hash256 kEmptyTrieRoot = {
+    0x56, 0xe8, 0x1f, 0x17, 0x1b, 0xcc, 0x55, 0xa6, 0xff, 0x83, 0x45, 0xe6, 0x92, 0xc0, 0xf8, 0x6e,
+    0x5b, 0x48, 0xe0, 0x1b, 0x99, 0x6c, 0xad, 0xc0, 0x01, 0x62, 0x2f, 0xb5, 0xe3, 0x63, 0xb4, 0x21,
+};
+
+// A byte key as one nibble per element (high nibble first). Keys up to 32
+// bytes, which covers every keccak-digest key the committer uses, are
+// converted on the stack; longer ones on the heap.
+class NibblePath {
+ public:
+  explicit NibblePath(BytesView key) : size_(key.size() * 2) {
+    uint8_t* out = inline_.data();
+    if (size_ > inline_.size()) {
+      heap_.resize(size_);
+      out = heap_.data();
+    }
+    for (uint8_t b : key) {
+      *out++ = b >> 4;
+      *out++ = b & 0xf;
+    }
   }
-  return out;
-}
+
+  BytesView view() const {
+    return BytesView(size_ > inline_.size() ? heap_.data() : inline_.data(), size_);
+  }
+
+ private:
+  std::array<uint8_t, 64> inline_;
+  Bytes heap_;
+  size_t size_;
+};
 
 // Hex-prefix encoding (yellow paper appendix C) of a nibble path, written as
 // an RLP byte string: its encoded size, and the writer.
@@ -62,21 +85,21 @@ void WriteShortNode(Bytes& out, BytesView path, bool is_leaf, BytesView second) 
   }
 }
 
-// Writes a branch node, [ref_0 .. ref_15, value], into `out`: a null ref is
-// an absent child (the empty string).
-void WriteBranchNode(Bytes& out, const std::array<const Bytes*, 16>& refs, BytesView value) {
+// Writes a branch node, [ref_0 .. ref_15, value], into `out`: an empty ref
+// is an absent child (the empty string; a present child's ref never is).
+void WriteBranchNode(Bytes& out, const std::array<BytesView, 16>& refs, BytesView value) {
   size_t payload = RlpBytesSize(value);
-  for (const Bytes* ref : refs) {
-    payload += ref != nullptr ? ref->size() : 1;
+  for (BytesView ref : refs) {
+    payload += ref.empty() ? 1 : ref.size();
   }
   out.clear();
   out.reserve(RlpHeaderSize(payload) + payload);
   RlpAppendListHeader(out, payload);
-  for (const Bytes* ref : refs) {
-    if (ref != nullptr) {
-      out.insert(out.end(), ref->begin(), ref->end());
-    } else {
+  for (BytesView ref : refs) {
+    if (ref.empty()) {
       out.push_back(0x80);
+    } else {
+      out.insert(out.end(), ref.begin(), ref.end());
     }
   }
   RlpAppendBytes(out, value);
@@ -106,12 +129,15 @@ struct MerklePatriciaTrie::Node {
 
   // Incremental-root memo: the node's RLP encoding and its parent-visible
   // reference, recomputed lazily after a mutation dirtied this node. The
-  // mutation path clears them (size only: the buffers keep their capacity)
-  // and marks them invalid, so a stale memo can never be observed; Encode and
-  // Ref then rewrite them in place, so re-encoding a retained node allocates
-  // nothing.
+  // mutation path clears them (size only: the encoding buffer keeps its
+  // capacity) and marks them invalid, so a stale memo can never be observed;
+  // Encode and Ref then rewrite them in place, so re-encoding a retained node
+  // allocates nothing. A reference is at most 33 bytes (0xa0 || hash), so it
+  // lives in the node, where a parent's encoding reads it without a second
+  // pointer chase.
   mutable Bytes enc_memo;
-  mutable Bytes ref_memo;
+  mutable std::array<uint8_t, 33> ref_memo;
+  mutable uint8_t ref_size = 0;
   mutable bool enc_valid = false;
   mutable bool ref_valid = false;
 
@@ -134,7 +160,7 @@ void Dirty(Node* node) {
   node->enc_valid = false;
   node->ref_valid = false;
   node->enc_memo.clear();
-  node->ref_memo.clear();
+  node->ref_size = 0;
   node->persisted = false;
 }
 
@@ -342,23 +368,16 @@ std::unique_ptr<Node> Remove(std::unique_ptr<Node> node, BytesView nibbles, bool
 }
 
 const Bytes& Encode(const Node* node);
+void HashDirty(std::span<const Node* const> roots);
 
 // RLP item that refers to a child: the node's encoding if shorter than 32
-// bytes, otherwise the RLP of its keccak hash. Memoized per node.
-const Bytes& Ref(const Node* node) {
-  if (node->ref_valid) {
-    return node->ref_memo;
+// bytes, otherwise the RLP of its keccak hash. Memoized per node; a stale
+// memo is recomputed, together with every stale one below it, by HashDirty.
+BytesView Ref(const Node* node) {
+  if (!node->ref_valid) {
+    HashDirty(std::span<const Node* const>(&node, 1));
   }
-  const Bytes& enc = Encode(node);
-  node->ref_memo.clear();
-  if (enc.size() < 32) {
-    node->ref_memo.insert(node->ref_memo.end(), enc.begin(), enc.end());
-  } else {
-    Hash256 h = Keccak256(enc);
-    RlpAppendBytes(node->ref_memo, BytesView(h.data(), h.size()));  // 0xa0 || hash.
-  }
-  node->ref_valid = true;
-  return node->ref_memo;
+  return BytesView(node->ref_memo.data(), node->ref_size);
 }
 
 // keccak(encoding), the key a node is stored under; for a hash-referenced
@@ -368,7 +387,7 @@ Hash256 NodeHash(const Node* node) {
   if (enc.size() < 32) {
     return Keccak256(enc);
   }
-  const Bytes& ref = Ref(node);
+  BytesView ref = Ref(node);
   Hash256 h;
   std::copy(ref.begin() + 1, ref.end(), h.begin());
   return h;
@@ -386,9 +405,9 @@ const Bytes& Encode(const Node* node) {
       WriteShortNode(node->enc_memo, node->path, /*is_leaf=*/false, Ref(node->child.get()));
       break;
     case Type::kBranch: {
-      std::array<const Bytes*, 16> refs;
+      std::array<BytesView, 16> refs;
       for (size_t i = 0; i < 16; ++i) {
-        refs[i] = node->children[i] ? &Ref(node->children[i].get()) : nullptr;
+        refs[i] = node->children[i] ? Ref(node->children[i].get()) : BytesView();
       }
       WriteBranchNode(node->enc_memo, refs, node->value);
       break;
@@ -396,6 +415,106 @@ const Bytes& Encode(const Node* node) {
   }
   node->enc_valid = true;
   return node->enc_memo;
+}
+
+// --- Level-ordered hashing: the one path that fills reference memos. ---
+//
+// A node whose reference memo is valid roots a fully memoized subtree,
+// because every mutation dirties its whole spine up to the root. HashDirty
+// therefore visits only the stale region under its roots, files each stale
+// node under its height (0 when none of its children is stale, else one more
+// than its tallest stale child), and then works up from height 0: it encodes
+// every node of a level, whose children's references are all memoized by
+// then, keeps encodings under 32 bytes as their own reference, and hashes
+// the rest in one Keccak256Batch call. Each node's encoding and hash are the
+// ones the node-by-node recursion would compute, so roots cannot move; only
+// the order changes, which lets independent hashes share the vector lanes.
+
+struct HashScratch {
+  std::vector<std::vector<const Node*>> levels;
+  std::vector<const Node*> roots;
+  std::vector<const Node*> hashed;
+  std::vector<BytesView> inputs;
+  std::vector<Hash256> digests;
+};
+
+// Per thread: the shard-parallel committer hashes from its pool threads.
+HashScratch& Scratch() {
+  thread_local HashScratch scratch;
+  return scratch;
+}
+
+size_t CollectStale(const Node* node, std::vector<std::vector<const Node*>>& levels) {
+  size_t height = 0;
+  auto visit = [&](const Node* child) {
+    if (child != nullptr && !child->ref_valid) {
+      height = std::max(height, CollectStale(child, levels) + 1);
+    }
+  };
+  switch (node->type) {
+    case Type::kLeaf:
+      break;
+    case Type::kExtension:
+      visit(node->child.get());
+      break;
+    case Type::kBranch:
+      for (const auto& child : node->children) {
+        visit(child.get());
+      }
+      break;
+  }
+  if (levels.size() <= height) {
+    levels.resize(height + 1);
+  }
+  levels[height].push_back(node);
+  return height;
+}
+
+void HashDirty(std::span<const Node* const> roots) {
+  HashScratch& s = Scratch();
+  size_t top = 0;
+  bool stale = false;
+  for (const Node* root : roots) {
+    if (root != nullptr && !root->ref_valid) {
+      top = std::max(top, CollectStale(root, s.levels));
+      stale = true;
+    }
+  }
+  if (!stale) {
+    return;
+  }
+  for (size_t height = 0; height <= top; ++height) {
+    s.hashed.clear();
+    for (const Node* node : s.levels[height]) {
+      const Bytes& enc = Encode(node);
+      if (enc.size() < 32) {
+        std::copy(enc.begin(), enc.end(), node->ref_memo.begin());
+        node->ref_size = static_cast<uint8_t>(enc.size());
+        node->ref_valid = true;
+      } else {
+        s.hashed.push_back(node);
+      }
+    }
+    s.levels[height].clear();
+    // Longest inputs first, so the batch's last permutations, where lanes
+    // start running dry, are the one-block ones.
+    std::sort(s.hashed.begin(), s.hashed.end(), [](const Node* a, const Node* b) {
+      return a->enc_memo.size() / 136 > b->enc_memo.size() / 136;
+    });
+    s.inputs.clear();
+    for (const Node* node : s.hashed) {
+      s.inputs.emplace_back(node->enc_memo);
+    }
+    s.digests.resize(s.inputs.size());
+    Keccak256Batch(s.inputs, s.digests);
+    for (size_t i = 0; i < s.hashed.size(); ++i) {
+      const Node* node = s.hashed[i];
+      node->ref_memo[0] = 0xa0;  // The RLP string header of a 32-byte hash.
+      std::copy(s.digests[i].begin(), s.digests[i].end(), node->ref_memo.begin() + 1);
+      node->ref_size = 33;
+      node->ref_valid = true;
+    }
+  }
 }
 
 // Post-order walk over the not-yet-persisted region. Children first so a
@@ -486,18 +605,18 @@ MerklePatriciaTrie& MerklePatriciaTrie::operator=(MerklePatriciaTrie&&) noexcept
 
 void MerklePatriciaTrie::Put(BytesView key, BytesView value) {
   assert(!value.empty());
-  Bytes nibbles = ToNibbles(key);
+  const NibblePath nibbles(key);
   bool replaced = false;
-  root_ = Insert(std::move(root_), nibbles, value, &replaced);
+  root_ = Insert(std::move(root_), nibbles.view(), value, &replaced);
   if (!replaced) {
     ++size_;
   }
 }
 
 bool MerklePatriciaTrie::Delete(BytesView key) {
-  Bytes nibbles = ToNibbles(key);
+  const NibblePath nibbles(key);
   bool removed = false;
-  root_ = Remove(std::move(root_), nibbles, &removed);
+  root_ = Remove(std::move(root_), nibbles.view(), &removed);
   if (removed) {
     --size_;
   }
@@ -519,15 +638,27 @@ size_t MerklePatriciaTrie::ApplyDiff(std::span<const TrieUpdate> updates) {
 }
 
 std::optional<Bytes> MerklePatriciaTrie::Get(BytesView key) const {
-  Bytes nibbles = ToNibbles(key);
-  return Lookup(root_.get(), nibbles);
+  const NibblePath nibbles(key);
+  return Lookup(root_.get(), nibbles.view());
 }
 
 Hash256 MerklePatriciaTrie::RootHash() const {
   if (root_ == nullptr) {
-    return Keccak256(RlpEncodeBytes({}));  // 0x56e81f17... — the canonical empty root.
+    return kEmptyTrieRoot;
   }
+  // Ref first: it re-hashes the whole stale region level by level, so
+  // NodeHash's Encode finds every child reference memoized.
+  Ref(root_.get());
   return NodeHash(root_.get());
+}
+
+void MerklePatriciaTrie::Prehash(std::span<const MerklePatriciaTrie* const> tries) {
+  HashScratch& s = Scratch();
+  s.roots.clear();
+  for (const MerklePatriciaTrie* trie : tries) {
+    s.roots.push_back(trie->root_.get());
+  }
+  HashDirty(s.roots);
 }
 
 // --- ShardedMpt -------------------------------------------------------------
@@ -557,10 +688,9 @@ int ShardedMpt::ShardOf(BytesView key) {
 void ShardedMpt::Put(BytesView key, BytesView value) {
   assert(!value.empty());
   const int shard = ShardOf(key);
-  Bytes nibbles = ToNibbles(key);
+  const NibblePath nibbles(key);
   bool replaced = false;
-  roots_[shard] =
-      Insert(std::move(roots_[shard]), BytesView(nibbles).subspan(1), value, &replaced);
+  roots_[shard] = Insert(std::move(roots_[shard]), nibbles.view().subspan(1), value, &replaced);
   if (!replaced) {
     ++sizes_[shard];
   }
@@ -569,15 +699,15 @@ void ShardedMpt::Put(BytesView key, BytesView value) {
 
 std::optional<Bytes> ShardedMpt::Get(BytesView key) const {
   const int shard = ShardOf(key);
-  Bytes nibbles = ToNibbles(key);
-  return Lookup(roots_[shard].get(), BytesView(nibbles).subspan(1));
+  const NibblePath nibbles(key);
+  return Lookup(roots_[shard].get(), nibbles.view().subspan(1));
 }
 
 bool ShardedMpt::Delete(BytesView key) {
   const int shard = ShardOf(key);
-  Bytes nibbles = ToNibbles(key);
+  const NibblePath nibbles(key);
   bool removed = false;
-  roots_[shard] = Remove(std::move(roots_[shard]), BytesView(nibbles).subspan(1), &removed);
+  roots_[shard] = Remove(std::move(roots_[shard]), nibbles.view().subspan(1), &removed);
   if (removed) {
     --sizes_[shard];
     mutated_[shard] = true;
@@ -616,9 +746,8 @@ size_t ShardedMpt::ApplyShardDiff(int shard, std::span<const TrieUpdate> updates
 }
 
 void ShardedMpt::PrehashShard(int shard) const {
-  if (roots_[shard] != nullptr) {
-    Ref(roots_[shard].get());
-  }
+  const Node* root = roots_[shard].get();
+  HashDirty(std::span<const Node* const>(&root, 1));
 }
 
 size_t ShardedMpt::size() const {
@@ -661,12 +790,12 @@ Bytes ShardedMpt::JoinEncoding() const {
       const bool is_leaf = shard_root->type == Type::kLeaf;
       WriteShortNode(out, path, is_leaf,
                      is_leaf ? BytesView(shard_root->value)
-                             : BytesView(Ref(shard_root->child.get())));
+                             : Ref(shard_root->child.get()));
     }
   } else {
-    std::array<const Bytes*, kShards> refs;
+    std::array<BytesView, kShards> refs;
     for (int i = 0; i < kShards; ++i) {
-      refs[i] = roots_[i] ? &Ref(roots_[i].get()) : nullptr;
+      refs[i] = roots_[i] ? Ref(roots_[i].get()) : BytesView();
     }
     WriteBranchNode(out, refs, {});  // No value: every key has >= 2 nibbles.
   }
@@ -676,8 +805,13 @@ Bytes ShardedMpt::JoinEncoding() const {
 Hash256 ShardedMpt::RootHash() const {
   int lone = -1;
   if (LiveCount(&lone) == 0) {
-    return Keccak256(RlpEncodeBytes({}));
+    return kEmptyTrieRoot;
   }
+  std::array<const Node*, kShards> roots;
+  for (int i = 0; i < kShards; ++i) {
+    roots[i] = roots_[i].get();
+  }
+  HashDirty(roots);
   return Keccak256(JoinEncoding());
 }
 

@@ -14,7 +14,9 @@
 // invalidate the memo along the touched spine only. RootHash after a k-key
 // diff therefore re-hashes O(k · depth) nodes, not the whole trie — the
 // asymptotic win that lets the chain runner's committer stage keep up with
-// streaming execution. Memoization is invisible to results: roots stay
+// streaming execution. The stale nodes are re-hashed one level at a time
+// from the leaves up, each level in one Keccak256Batch call (DESIGN.md
+// §4.4). Memoization and ordering are invisible to results: roots stay
 // bit-identical to a from-scratch build (locked in by the MptPropertyTest
 // randomized battery).
 //
@@ -74,6 +76,13 @@ class MerklePatriciaTrie {
   // keccak(rlp("")) = 0x56e81f17...63b421, matching Ethereum. Amortized
   // O(dirty spine) thanks to the per-node encoding memo.
   Hash256 RootHash() const;
+
+  // Re-hashes the dirty regions of every trie in `tries` together, one
+  // level at a time from the leaves up, so a later RootHash of any of them
+  // only reads memos. Batching several small tries (an account's storage
+  // tries, say) fills the batch Keccak's lanes where one trie's levels
+  // would not. Results are exactly those of each trie's own RootHash.
+  static void Prehash(std::span<const MerklePatriciaTrie* const> tries);
 
   size_t size() const { return size_; }
 
@@ -149,8 +158,9 @@ class ShardedMpt {
   // Applies one shard's updates in order; every key must map to `shard`.
   size_t ApplyShardDiff(int shard, std::span<const TrieUpdate> updates);
 
-  // Forces the shard root's encoding + reference memo — the expensive keccak
-  // work of RootHash — so a later serial RootHash only joins 16 warm refs.
+  // Forces the shard's encoding + reference memos — the expensive keccak
+  // work of RootHash, level-ordered like MerklePatriciaTrie::Prehash — so a
+  // later serial RootHash only joins 16 warm refs.
   void PrehashShard(int shard) const;
 
   // Harvest protocol: serial PrepareHarvest, then HarvestShard for each shard

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <iterator>
 #include <map>
 #include <random>
+#include <vector>
 
 #include "src/support/bytes.h"
 #include "src/support/keccak.h"
@@ -492,6 +494,48 @@ TEST(KeccakTest, MatchesRolledReferenceAtEveryLength) {
   for (size_t len = 0; len <= 1100; ++len) {
     const BytesView input(data.data() + len % 8, len);
     ASSERT_EQ(HexEncode(Keccak256(input)), HexEncode(RolledKeccak256(input))) << "length " << len;
+  }
+}
+
+// Keccak256Batch against Keccak256 at every length 0-700 (the rate
+// boundaries 135-137, 271-273 and 407-409 among them) and every batch size
+// 1-17: once with one length per batch, once with lengths mixed in a batch,
+// so lanes finish and take new inputs at different permutations.
+TEST(KeccakTest, BatchMatchesScalarAtEveryLength) {
+  std::printf("Keccak256Batch path: %s\n",
+              Keccak256BatchLanes() == 8 ? "8 lanes (AVX-512F)" : "scalar loop");
+  std::mt19937_64 rng(1601);
+  Bytes data(700 + 17 * 8 + 8);
+  for (uint8_t& b : data) {
+    b = static_cast<uint8_t>(rng());
+  }
+  std::vector<BytesView> inputs;
+  std::vector<Hash256> out;
+  auto check = [&]() {
+    out.assign(inputs.size(), Hash256{});
+    Keccak256Batch(inputs, out);
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      if (out[i] != Keccak256(inputs[i])) {
+        ADD_FAILURE() << "input " << i << " of " << inputs.size() << ", length "
+                      << inputs[i].size();
+        return false;
+      }
+    }
+    return true;
+  };
+  for (size_t len = 0; len <= 700; ++len) {
+    for (size_t n = 1; n <= 17; ++n) {
+      inputs.clear();
+      for (size_t i = 0; i < n; ++i) {
+        inputs.emplace_back(data.data() + i * 8 + len % 8, len);  // Every alignment.
+      }
+      ASSERT_TRUE(check()) << "uniform batch, length " << len;
+      inputs.clear();
+      for (size_t i = 0; i < n; ++i) {
+        inputs.emplace_back(data.data() + i * 8, (len + i * 211) % 701);
+      }
+      ASSERT_TRUE(check()) << "mixed batch from length " << len;
+    }
   }
 }
 

@@ -309,6 +309,83 @@ TEST(MptHarvestTest, AccumulatedIncrementalHarvestsCoverTheFinalTrie) {
   EXPECT_GT(total_incremental, full_rebuild_nodes);
 }
 
+// Joint prehash: MerklePatriciaTrie::Prehash over many tries at once must
+// leave each with exactly the root and harvest it would reach alone. Twins
+// take the same mutations but never see a joint prehash, and on alternate
+// rounds harvest before any root is asked for, so their hashes come from the
+// per-node path inside the harvest. Keys run to 40 bytes, past the 32 a
+// nibble path holds on the stack.
+TEST(MptTest, PrehashAcrossTriesMatchesPerTrieRoots) {
+  constexpr size_t kTries = 12;
+  std::mt19937_64 rng(54);
+  std::vector<MerklePatriciaTrie> tries(kTries);
+  std::vector<MerklePatriciaTrie> twins(kTries);
+  std::vector<std::map<Bytes, Bytes>> oracles(kTries);
+  auto harvest = [](const MerklePatriciaTrie& trie) {
+    std::map<Hash256, Bytes> nodes;
+    trie.HarvestDirtyNodes([&nodes](const Hash256& hash, BytesView encoding) {
+      nodes[hash] = Bytes(encoding.begin(), encoding.end());
+    });
+    return nodes;
+  };
+  for (int round = 0; round < 8; ++round) {
+    for (size_t t = 0; t < kTries; ++t) {
+      // Trie 0 stays empty; the others take up to 60 updates a round.
+      const int updates = t == 0 ? 0 : static_cast<int>(rng() % 61);
+      for (int u = 0; u < updates; ++u) {
+        Bytes key(rng() % 4 == 0 ? 33 + rng() % 8 : 1 + rng() % 32);
+        for (auto& b : key) {
+          b = static_cast<uint8_t>(rng() % 3);  // Few symbols: long shared prefixes.
+        }
+        if (rng() % 3 == 0 && !oracles[t].empty()) {
+          auto victim = oracles[t].begin();
+          std::advance(victim, static_cast<long>(rng() % oracles[t].size()));
+          key = victim->first;
+          ASSERT_TRUE(tries[t].Delete(key));
+          ASSERT_TRUE(twins[t].Delete(key));
+          oracles[t].erase(victim);
+          continue;
+        }
+        Bytes value(1 + rng() % 48);
+        for (auto& b : value) {
+          b = static_cast<uint8_t>(rng());
+        }
+        tries[t].Put(key, value);
+        twins[t].Put(key, value);
+        oracles[t][key] = value;
+      }
+    }
+    std::vector<const MerklePatriciaTrie*> all;
+    for (const MerklePatriciaTrie& trie : tries) {
+      all.push_back(&trie);
+    }
+    MerklePatriciaTrie::Prehash(all);
+    for (size_t t = 0; t < kTries; ++t) {
+      std::map<Hash256, Bytes> twin_nodes;
+      if (round % 2 == 1) {
+        twin_nodes = harvest(twins[t]);
+      }
+      ASSERT_EQ(HexEncode(tries[t].RootHash()), HexEncode(twins[t].RootHash()))
+          << "round " << round << ", trie " << t;
+      if (round % 2 == 0) {
+        twin_nodes = harvest(twins[t]);
+      }
+      EXPECT_EQ(harvest(tries[t]), twin_nodes) << "round " << round << ", trie " << t;
+      for (const auto& [key, value] : oracles[t]) {
+        ASSERT_EQ(tries[t].Get(key), value);
+      }
+    }
+  }
+  // And the roots are the from-scratch ones.
+  for (size_t t = 0; t < kTries; ++t) {
+    MerklePatriciaTrie rebuilt;
+    for (const auto& [key, value] : oracles[t]) {
+      rebuilt.Put(key, value);
+    }
+    EXPECT_EQ(HexEncode(rebuilt.RootHash()), HexEncode(tries[t].RootHash())) << "trie " << t;
+  }
+}
+
 // --- Deletion. ---
 
 TEST(MptDeleteTest, DeleteRestoresPriorRoot) {
